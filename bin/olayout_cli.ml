@@ -13,11 +13,14 @@
      chrome-trace - telemetry JSONL -> Perfetto-loadable trace-event JSON
 
    Running with no arguments (or "help") prints a one-line overview of
-   every subcommand; an unknown subcommand names the valid set and exits
-   with the usage status 2. *)
+   every subcommand.  Flags shared with bench/main.exe come from
+   Olayout_front.Front; every usage error (an unknown subcommand, a bad
+   flag value) exits with status 2 before any workload is built. *)
 
 open Cmdliner
+module Front = Olayout_front.Front
 module Context = Olayout_harness.Context
+module Diagnose = Olayout_harness.Diagnose
 module Report = Olayout_harness.Report
 module Telemetry = Olayout_telemetry.Telemetry
 module Table = Olayout_harness.Table
@@ -32,31 +35,23 @@ module Prog = Olayout_ir.Prog
 module Proc = Olayout_ir.Proc
 module Block = Olayout_ir.Block
 
-let seed_arg =
-  Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload/binary seed.")
+let combo_arg_value = Front.combo ~default:Spike.All ~doc:"Layout combination to inspect." ()
 
-let quick_arg =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Reduced transaction counts (fast, noisier).")
+(* Training transactions for the commands that profile the workload
+   themselves. *)
+let train_txns = function Context.Quick -> 200 | Context.Full -> 2000
 
-let combo_conv =
-  let parse s =
-    match
-      List.find_opt (fun c -> Spike.combo_name c = s) Spike.all_combos
-    with
-    | Some c -> Ok c
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown combo %S (expected: %s)" s
-               (String.concat ", " (List.map Spike.combo_name Spike.all_combos))))
-  in
-  Arg.conv (parse, fun ppf c -> Format.pp_print_string ppf (Spike.combo_name c))
+(* Write an artifact when -o was given and say where it went. *)
+let write_artifact what write out =
+  Option.iter
+    (fun path ->
+      write path;
+      Format.printf "%s artifact written to %s@." what path)
+    out
 
-let combo_arg_value =
-  Arg.(
-    value & opt combo_conv Spike.All
-    & info [ "combo" ] ~docv:"COMBO" ~doc:"Layout combination to inspect.")
+let print_tables = List.iter (fun tbl -> Table.print Format.std_formatter tbl)
 
+let telemetry_summary_arg ~doc = Arg.(value & flag & info [ "telemetry" ] ~doc)
 
 (* --- inspect --- *)
 
@@ -92,14 +87,13 @@ let inspect seed =
 let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect" ~doc:"Show the synthetic OLTP and kernel binaries.")
-    Term.(const inspect $ seed_arg)
+    Term.(const inspect $ Front.seed)
 
 (* --- profile: train and save --- *)
 
-let profile_cmd_run seed quick out =
-  let txns = if quick then 200 else 2000 in
+let profile_cmd_run seed scale out =
   let w = Workload.create ~seed () in
-  let profile, _ = Workload.train w ~txns () in
+  let profile, _ = Workload.train w ~txns:(train_txns scale) () in
   Profile.save_file out profile;
   Format.printf "wrote %s (%d block events, %s dynamic instructions)@." out
     (Profile.total_block_events profile)
@@ -107,33 +101,27 @@ let profile_cmd_run seed quick out =
   0
 
 let profile_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "oltp.profile"
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Where to save the profile.")
-  in
+  let out_arg = Front.output_or ~default:"oltp.profile" ~doc:"Where to save the profile." in
   Cmd.v
     (Cmd.info "profile" ~doc:"Run the training phase and save the profile to a file.")
-    Term.(const profile_cmd_run $ seed_arg $ quick_arg $ out_arg)
+    Term.(const profile_cmd_run $ Front.seed $ Front.scale $ out_arg)
 
 (* Load a saved profile or train a fresh one. *)
-let obtain_profile w ~quick = function
+let obtain_profile w scale = function
   | Some path -> Profile.load_file (Binary.prog (Workload.app w)) path
-  | None ->
-      let txns = if quick then 200 else 2000 in
-      fst (Workload.train w ~txns ())
+  | None -> fst (Workload.train w ~txns:(train_txns scale) ())
 
 let profile_file_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some file) None
     & info [ "profile-file" ] ~docv:"FILE" ~doc:"Reuse a profile saved by $(b,profile).")
 
 (* --- disasm --- *)
 
-let disasm seed quick profile_file combo procs summary =
+let disasm seed scale profile_file combo procs summary =
   let w = Workload.create ~seed () in
-  let profile = obtain_profile w ~quick profile_file in
+  let profile = obtain_profile w scale profile_file in
   let placement = Spike.optimize profile combo in
   if summary then Format.printf "%a@." Olayout_core.Listing.pp_summary placement;
   List.iter
@@ -159,14 +147,14 @@ let disasm_cmd =
   Cmd.v
     (Cmd.info "disasm" ~doc:"List placed code with addresses and branch targets.")
     Term.(
-      const disasm $ seed_arg $ quick_arg $ profile_file_arg $ combo_arg_value $ procs_arg
-      $ summary_arg)
+      const disasm $ Front.seed $ Front.scale $ profile_file_arg $ combo_arg_value
+      $ procs_arg $ summary_arg)
 
 (* --- optimize --- *)
 
-let optimize seed quick profile_file =
+let optimize seed scale profile_file =
   let w = Workload.create ~seed () in
-  let profile = obtain_profile w ~quick profile_file in
+  let profile = obtain_profile w scale profile_file in
   let tbl =
     Table.create ~title:"layout combinations"
       ~columns:[ "combo"; "text KB"; "instrs"; "vs base instrs"; "far branches" ]
@@ -192,20 +180,16 @@ let optimize seed quick profile_file =
 let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize" ~doc:"Profile the workload and compare layout combinations.")
-    Term.(const optimize $ seed_arg $ quick_arg $ profile_file_arg)
+    Term.(const optimize $ Front.seed $ Front.scale $ profile_file_arg)
 
 (* --- simulate --- *)
 
-let simulate seed quick size_kb line assoc combos app_only =
-  let txns = if quick then 150 else 1000 in
+let simulate seed scale (cfg : Icache.config) combos app_only =
+  let txns = match scale with Context.Quick -> 150 | Context.Full -> 1000 in
   let w = Workload.create ~seed () in
-  let profile, _ = Workload.train w ~txns:(if quick then 200 else 2000) () in
+  let profile, _ = Workload.train w ~txns:(train_txns scale) () in
   let kernel_base = Workload.base_kernel w in
-  let caches =
-    List.map
-      (fun combo -> (combo, Icache.create (Icache.config ~size_kb ~line ~assoc ())))
-      combos
-  in
+  let caches = List.map (fun combo -> (combo, Icache.create cfg)) combos in
   let renders =
     List.map
       (fun (combo, cache) ->
@@ -228,7 +212,9 @@ let simulate seed quick size_kb line assoc combos app_only =
     (if app_only then "application" else "combined");
   let tbl =
     Table.create
-      ~title:(Printf.sprintf "i-cache %dKB / %dB line / %d-way" size_kb line assoc)
+      ~title:
+        (Printf.sprintf "i-cache %dKB / %dB line / %d-way" (cfg.size_bytes / 1024)
+           cfg.line_bytes cfg.assoc)
       ~columns:[ "combo"; "misses"; "miss per 1k instrs"; "vs base" ]
   in
   let base_misses =
@@ -249,20 +235,32 @@ let simulate seed quick size_kb line assoc combos app_only =
   Format.printf "%a@." Table.print tbl;
   0
 
+(* Each dimension must be a power of two; the combination is then checked
+   by Icache itself (line of at least one instruction, cache of at least
+   one set), still before any workload is built. *)
+let geometry_arg =
+  let dim name default docv doc =
+    Arg.(value & opt Front.pow2 default & info [ name ] ~docv ~doc)
+  in
+  let geometry size_kb line assoc =
+    let cfg = Icache.config ~size_kb ~line ~assoc () in
+    match Icache.validate cfg with
+    | () -> `Ok cfg
+    | exception Invalid_argument msg ->
+        `Error (true, Printf.sprintf "--size-kb %d --line %d --assoc %d: %s" size_kb line assoc msg)
+  in
+  Term.(
+    ret
+      (const geometry
+      $ dim "size-kb" 64 "KB" "Cache size in KB (a power of two)."
+      $ dim "line" 128 "BYTES" "Line size in bytes (a power of two, at least 4)."
+      $ dim "assoc" 1 "WAYS" "Associativity (a power of two)."))
+
 let simulate_cmd =
-  let size_arg =
-    Arg.(value & opt int 64 & info [ "size-kb" ] ~docv:"KB" ~doc:"Cache size in KB.")
-  in
-  let line_arg =
-    Arg.(value & opt int 128 & info [ "line" ] ~docv:"BYTES" ~doc:"Line size in bytes.")
-  in
-  let assoc_arg =
-    Arg.(value & opt int 1 & info [ "assoc" ] ~docv:"WAYS" ~doc:"Associativity.")
-  in
   let combos_arg =
     Arg.(
       value
-      & opt (list combo_conv) [ Spike.Base; Spike.All ]
+      & opt (list Front.combo_conv) [ Spike.Base; Spike.All ]
       & info [ "combos" ] ~docv:"COMBOS" ~doc:"Comma-separated layout combinations.")
   in
   let app_only_arg =
@@ -271,14 +269,13 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the OLTP workload through an instruction cache.")
     Term.(
-      const simulate $ seed_arg $ quick_arg $ size_arg $ line_arg $ assoc_arg $ combos_arg
-      $ app_only_arg)
+      const simulate $ Front.seed $ Front.scale $ geometry_arg $ combos_arg $ app_only_arg)
 
 (* --- trace: dump an address trace (SimOS-style) --- *)
 
-let trace seed quick profile_file combo out max_runs =
+let trace seed scale profile_file combo out max_runs =
   let w = Workload.create ~seed () in
-  let profile = obtain_profile w ~quick profile_file in
+  let profile = obtain_profile w scale profile_file in
   let placement = Spike.optimize profile combo in
   let kernel = Workload.base_kernel w in
   let oc = open_out out in
@@ -287,7 +284,8 @@ let trace seed quick profile_file combo out max_runs =
     (Spike.combo_name combo);
   let r =
     Olayout_oltp.Server.run ~app:(Workload.app w) ~kernel:(Workload.kernel w)
-      ~txns:(if quick then 50 else 300) ~seed:(seed + 2000)
+      ~txns:(match scale with Context.Quick -> 50 | Context.Full -> 300)
+      ~seed:(seed + 2000)
       ~renders:
         [
           {
@@ -312,184 +310,83 @@ let trace seed quick profile_file combo out max_runs =
   0
 
 let trace_cmd =
-  let out_arg =
-    Arg.(value & opt string "trace.txt" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
-  in
+  let out_arg = Front.output_or ~default:"trace.txt" ~doc:"Output file." in
   let max_arg =
-    Arg.(value & opt int 200_000 & info [ "max-runs" ] ~docv:"N" ~doc:"Stop after N fetch runs.")
+    Arg.(
+      value
+      & opt (Front.at_least 0) 200_000
+      & info [ "max-runs" ] ~docv:"N" ~doc:"Stop after N fetch runs.")
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Dump the instruction-fetch trace under a layout.")
     Term.(
-      const trace $ seed_arg $ quick_arg $ profile_file_arg $ combo_arg_value $ out_arg
+      const trace $ Front.seed $ Front.scale $ profile_file_arg $ combo_arg_value $ out_arg
       $ max_arg)
 
 (* --- diagnose --- *)
 
-let diagnose seed quick figure combo top out telemetry =
-  let scale = if quick then Context.Quick else Context.Full in
-  match Olayout_harness.Diagnose.preset_of_figure figure with
-  | exception Invalid_argument msg ->
-      Printf.eprintf "olayout: %s\n" msg;
-      1
-  | preset ->
-      let ctx = Context.create ~scale ~seed () in
-      let c_misses = Telemetry.counter "cachesim.icache_misses" in
-      let before = Telemetry.value c_misses in
-      let d = Olayout_harness.Diagnose.run ~combo ctx preset in
-      let delta = Telemetry.value c_misses - before in
-      List.iter
-        (fun tbl -> Table.print Format.std_formatter tbl)
-        (Olayout_harness.Diagnose.tables ~top ~combo preset d);
-      Option.iter
-        (fun path ->
-          Olayout_harness.Diagnose.write_artifact ~path
-            ~scale:(if quick then "quick" else "full")
-            ~combo ~preset ~icache_misses_delta:delta d;
-          Format.printf "diagnostics artifact written to %s@." path)
-        out;
-      if telemetry then Telemetry.pp_summary Format.std_formatter ();
-      0
+let diagnose seed scale preset combo top out telemetry =
+  let ctx = Context.create ~scale ~seed () in
+  let c_misses = Telemetry.counter "cachesim.icache_misses" in
+  let before = Telemetry.value c_misses in
+  let d = Diagnose.run ~combo ctx preset in
+  let delta = Telemetry.value c_misses - before in
+  print_tables (Diagnose.tables ~top ~combo preset d);
+  write_artifact "diagnostics"
+    (fun path ->
+      Diagnose.write_artifact ~path ~scale:(Front.scale_name scale) ~combo ~preset
+        ~icache_misses_delta:delta d)
+    out;
+  if telemetry then Telemetry.pp_summary Format.std_formatter ();
+  0
+
+let top_arg ~default ~docv ~doc =
+  Arg.(value & opt (Front.at_least 1) default & info [ "top" ] ~docv ~doc)
 
 let diagnose_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Figure geometry to diagnose (%s): runs the workload through that \
-                figure's cache with miss classification, per-segment attribution \
-                and conflict matrices."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
-  in
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Rows per attribution table.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable DIAG artifact to $(docv).")
-  in
-  let telemetry_arg =
-    Arg.(
-      value & flag
-      & info [ "telemetry" ] ~doc:"Print the telemetry summary after the report.")
-  in
   (* Unlike [disasm]/[simulate], diagnosing defaults to the unoptimized
      layout: the point is to see the conflicts the optimizations remove. *)
-  let base_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.Base
-      & info [ "combo" ] ~docv:"COMBO" ~doc:"Layout combination to diagnose.")
-  in
   Cmd.v
     (Cmd.info "diagnose"
        ~doc:
          "Classify instruction-cache misses (compulsory/capacity/conflict) and \
           attribute them to code segments.")
     Term.(
-      const diagnose $ seed_arg $ quick_arg $ figure_arg $ base_combo_arg $ top_arg
-      $ out_arg $ telemetry_arg)
+      const diagnose $ Front.seed $ Front.scale
+      $ Front.figure
+          ~doc:
+            "Figure geometry to diagnose: runs the workload through that figure's \
+             cache with miss classification, per-segment attribution and conflict \
+             matrices."
+      $ Front.combo ~default:Spike.Base ~doc:"Layout combination to diagnose." ()
+      $ top_arg ~default:10 ~docv:"N" ~doc:"Rows per attribution table."
+      $ Front.output ~doc:"Also write the machine-readable DIAG artifact to $(docv)." ()
+      $ telemetry_summary_arg ~doc:"Print the telemetry summary after the report.")
 
 (* --- timeline --- *)
 
-(* --window takes a raw string so zero, negative and non-numeric widths all
-   get the same rejection (mirrors bench's --timeline-window validation and
-   its usage exit code 2) instead of cmdliner's int parse accepting 0. *)
-let timeline seed quick figure combo window engine out =
+let timeline seed scale preset combo window engine out =
   let module Timeline = Olayout_telemetry.Timeline in
-  let window =
-    match window with
-    | None -> Ok None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some w when w >= 1 -> Ok (Some w)
-        | Some _ | None -> Error s)
-  in
-  match window with
-  | Error s ->
-      Printf.eprintf
-        "olayout: --window expects a positive instruction count, got %S\n" s;
-      2
-  | Ok window -> (
-  match Olayout_harness.Diagnose.preset_of_figure figure with
-  | exception Invalid_argument msg ->
-      Printf.eprintf "olayout: %s\n" msg;
-      1
-  | preset ->
-      (* Enabled before the context exists: the simulators capture their
-         series handles at construction. *)
-      Timeline.set_enabled true;
-      Timeline.set_window
-        (match window with
-        | Some w -> w
-        | None -> if quick then 65_536 else 524_288);
-      let scale = if quick then Context.Quick else Context.Full in
-      let ctx = Context.create ~scale ~seed ~engine () in
-      Olayout_harness.Phase_timeline.run ~combo ~engine ctx preset;
-      Format.printf "%a" Timeline.pp_summary ();
-      Option.iter
-        (fun path ->
-          Timeline.write_artifact ~path
-            ~scale:(if quick then "quick" else "full");
-          Format.printf "timeline artifact written to %s@." path)
-        out;
-      0)
+  (* Enabled before the context exists: the simulators capture their
+     series handles at construction. *)
+  Front.enable_timeline scale window;
+  let ctx = Context.create ~scale ~seed ~engine () in
+  Olayout_harness.Phase_timeline.run ~combo ~engine ctx preset;
+  Format.printf "%a" Timeline.pp_summary ();
+  write_artifact "timeline"
+    (fun path -> Timeline.write_artifact ~path ~scale:(Front.scale_name scale))
+    out;
+  0
 
 let timeline_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Figure geometry to trace over the instruction clock (%s)."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
-  in
   let window_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (Front.at_least 1)) None
       & info [ "window" ] ~docv:"INSTRS"
           ~doc:
             "Window width in simulated instructions (default 65536 with \
              $(b,--quick), 524288 otherwise).")
-  in
-  let engine_arg =
-    let engine_conv =
-      Arg.enum [ ("icache", `Icache); ("stackdist", `Stackdist) ]
-    in
-    Arg.(
-      value
-      & opt engine_conv `Stackdist
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Sweep backend feeding the cachesim series; both engines produce \
-             byte-identical series.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the olayout-timeline/v1 artifact to $(docv).")
-  in
-  let base_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.Base
-      & info [ "combo" ] ~docv:"COMBO"
-          ~doc:"Layout combination to trace (default the unoptimized base).")
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -498,70 +395,26 @@ let timeline_cmd =
           per-window cache misses, working set and transaction mix for one \
           figure geometry, printed as sparklines.")
     Term.(
-      const timeline $ seed_arg $ quick_arg $ figure_arg $ base_combo_arg
-      $ window_arg $ engine_arg $ out_arg)
+      const timeline $ Front.seed $ Front.scale
+      $ Front.figure ~doc:"Figure geometry to trace over the instruction clock."
+      $ Front.combo ~default:Spike.Base
+          ~doc:"Layout combination to trace (default the unoptimized base)." ()
+      $ window_arg $ Front.engine
+      $ Front.output ~doc:"Also write the olayout-timeline/v1 artifact to $(docv)." ())
 
 (* --- explain --- *)
 
-let explain seed quick figure combo top out =
+let explain seed scale preset combo top out =
   let module Explain = Olayout_harness.Explain in
-  match Olayout_harness.Diagnose.preset_of_figure figure with
-  | exception Invalid_argument msg ->
-      Printf.eprintf "olayout: %s\n" msg;
-      1
-  | preset -> (
-      let scale = if quick then Context.Quick else Context.Full in
-      let ctx = Context.create ~scale ~seed () in
-      match Explain.run ~combo ctx preset with
-      | exception Invalid_argument msg ->
-          Printf.eprintf "olayout: %s\n" msg;
-          1
-      | r ->
-          List.iter
-            (fun tbl -> Table.print Format.std_formatter tbl)
-            (Explain.tables ~top r);
-          Option.iter
-            (fun path ->
-              Explain.write_artifact ~path
-                ~scale:(if quick then "quick" else "full")
-                r;
-              Format.printf "explain artifact written to %s@." path)
-            out;
-          0)
+  let ctx = Context.create ~scale ~seed () in
+  let r = Explain.run ~combo ctx preset in
+  print_tables (Explain.tables ~top r);
+  write_artifact "explain"
+    (fun path -> Explain.write_artifact ~path ~scale:(Front.scale_name scale) r)
+    out;
+  0
 
 let explain_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Cache geometry the scorecard measures under (%s)."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
-  in
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Scorecard rows to print.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the olayout-explain/v1 artifact to $(docv).")
-  in
-  let opt_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.All
-      & info [ "combo" ] ~docv:"COMBO"
-          ~doc:
-            "Optimized layout to explain against base (any combo except \
-             $(b,base)).")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -569,94 +422,35 @@ let explain_cmd =
           decided, where every procedure moved, and what that did to its \
           miss count (base vs optimized, ranked by layout regret).")
     Term.(
-      const explain $ seed_arg $ quick_arg $ figure_arg $ opt_combo_arg
-      $ top_arg $ out_arg)
+      const explain $ Front.seed $ Front.scale
+      $ Front.figure ~doc:"Cache geometry the scorecard measures under."
+      $ Front.combo ~optimized:true ~default:Spike.All
+          ~doc:"Optimized layout to explain against base (any combo except $(b,base))." ()
+      $ top_arg ~default:10 ~docv:"N" ~doc:"Scorecard rows to print."
+      $ Front.output ~doc:"Also write the olayout-explain/v1 artifact to $(docv)." ())
 
 (* --- drift --- *)
 
-(* --windows takes a raw string so zero, one, negative and non-numeric
-   phase counts all get the same rejection and the usage exit code 2
-   (mirrors timeline's --window validation). *)
-let drift seed quick figure combo windows top out =
+let drift seed scale preset combo phases top out =
   let module Drift = Olayout_harness.Drift in
-  let windows =
-    match windows with
-    | None -> Ok Drift.default_phases
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some w when w >= 2 -> Ok w
-        | Some _ | None -> Error s)
-  in
-  match windows with
-  | Error s ->
-      Printf.eprintf
-        "olayout: --windows expects at least 2 profile phases, got %S\n" s;
-      2
-  | Ok phases -> (
-      match Olayout_harness.Diagnose.preset_of_figure figure with
-      | exception Invalid_argument msg ->
-          Printf.eprintf "olayout: %s\n" msg;
-          1
-      | preset -> (
-          let scale = if quick then Context.Quick else Context.Full in
-          let ctx = Context.create ~scale ~seed () in
-          match Drift.run ~combo ~phases ~top ctx preset with
-          | exception Invalid_argument msg ->
-              Printf.eprintf "olayout: %s\n" msg;
-              1
-          | r ->
-              Drift.Observatory.pp Format.std_formatter r;
-              Option.iter
-                (fun path ->
-                  Drift.write_artifact ~path
-                    ~scale:(if quick then "quick" else "full")
-                    r;
-                  Format.printf "drift artifact written to %s@." path)
-                out;
-              0))
+  let ctx = Context.create ~scale ~seed () in
+  let r = Drift.run ~combo ~phases ~top ctx preset in
+  Drift.Observatory.pp Format.std_formatter r;
+  write_artifact "drift"
+    (fun path -> Drift.Observatory.write_artifact ~path ~scale:(Front.scale_name scale) r)
+    out;
+  0
 
 let drift_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Cache geometry the staleness matrix replays under (%s)."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
-  in
   let windows_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (Front.at_least 2) Olayout_harness.Drift.default_phases
       & info [ "windows" ] ~docv:"N"
           ~doc:
-            "Profile phases in the staleness matrix (default 4, at least 2): \
-             the mix-shift schedule rotates through $(docv) slots and one \
-             layout is derived per phase.")
-  in
-  let top_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "top" ] ~docv:"K"
-          ~doc:"Hot-set size for the Jaccard and rank-churn series.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the olayout-drift/v1 artifact to $(docv).")
-  in
-  let opt_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.All
-      & info [ "combo" ] ~docv:"COMBO"
-          ~doc:
-            "Layout algorithm applied per phase (any combo except $(b,base)).")
+            "Profile phases in the staleness matrix (at least 2): the mix-shift \
+             schedule rotates through $(docv) slots and one layout is derived per \
+             phase.")
   in
   Cmd.v
     (Cmd.info "drift"
@@ -666,116 +460,43 @@ let drift_cmd =
           divergence as sparklines, and replay every (phase layout, phase \
           slice) pairing into a layout-staleness heatmap.")
     Term.(
-      const drift $ seed_arg $ quick_arg $ figure_arg $ opt_combo_arg
-      $ windows_arg $ top_arg $ out_arg)
+      const drift $ Front.seed $ Front.scale
+      $ Front.figure ~doc:"Cache geometry the staleness matrix replays under."
+      $ Front.combo ~optimized:true ~default:Spike.All
+          ~doc:"Layout algorithm applied per phase (any combo except $(b,base))." ()
+      $ windows_arg
+      $ top_arg ~default:8 ~docv:"K" ~doc:"Hot-set size for the Jaccard and rank-churn series."
+      $ Front.output ~doc:"Also write the olayout-drift/v1 artifact to $(docv)." ())
 
 (* --- relayout --- *)
 
-(* --cadences takes one raw comma-separated string so empty, zero, negative
-   and non-numeric entries all get the same rejection and the usage exit
-   code 2 (mirrors drift's --windows validation); --slots likewise. *)
-let relayout seed quick figure combo cadences slots out =
+let relayout seed scale preset combo cadences slots out =
   let module Relayout = Olayout_harness.Relayout in
-  let cadences =
-    match cadences with
-    | None -> Ok Relayout.default_cadences
-    | Some s -> (
-        let parsed =
-          List.map int_of_string_opt (String.split_on_char ',' s)
-        in
-        match
-          List.for_all (function Some c -> c >= 1 | None -> false) parsed
-        with
-        | true -> Ok (List.filter_map Fun.id parsed)
-        | false -> Error s)
-  in
-  let slots =
-    match slots with
-    | None -> Ok Relayout.default_slots
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v when v >= 2 -> Ok v
-        | Some _ | None -> Error s)
-  in
-  match (cadences, slots) with
-  | Error s, _ ->
-      Printf.eprintf
-        "olayout: --cadences expects comma-separated window counts >= 1, got \
-         %S\n"
-        s;
-      2
-  | _, Error s ->
-      Printf.eprintf
-        "olayout: --slots expects at least 2 schedule slots, got %S\n" s;
-      2
-  | Ok cadences, Ok slots -> (
-      match Olayout_harness.Diagnose.preset_of_figure figure with
-      | exception Invalid_argument msg ->
-          Printf.eprintf "olayout: %s\n" msg;
-          1
-      | preset -> (
-          let scale = if quick then Context.Quick else Context.Full in
-          let ctx = Context.create ~scale ~seed () in
-          match Relayout.run ~combo ~cadences ~slots ctx preset with
-          | exception Invalid_argument msg ->
-              Printf.eprintf "olayout: %s\n" msg;
-              1
-          | r ->
-              Relayout.Closedloop.pp Format.std_formatter r;
-              Option.iter
-                (fun path ->
-                  Relayout.write_artifact ~path
-                    ~scale:(if quick then "quick" else "full")
-                    r;
-                  Format.printf "relayout artifact written to %s@." path)
-                out;
-              0))
+  let ctx = Context.create ~scale ~seed () in
+  let r = Relayout.run ~combo ~cadences ~slots ctx preset in
+  Relayout.Closedloop.pp Format.std_formatter r;
+  write_artifact "relayout"
+    (fun path -> Relayout.Closedloop.write_artifact ~path ~scale:(Front.scale_name scale) r)
+    out;
+  0
 
 let relayout_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Cache geometry the cadence sweep replays under (%s)."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
-  in
+  let module Relayout = Olayout_harness.Relayout in
   let cadences_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (Front.at_least_list 1) Relayout.default_cadences
       & info [ "cadences" ] ~docv:"N,N,..."
           ~doc:
-            "Re-layout cadences to sweep, in windows between ticks (default \
-             1,2,4,8); a static never-re-layout row is always included.")
+            "Re-layout cadences to sweep, in windows between ticks; a static \
+             never-re-layout row is always included.")
   in
   let slots_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (Front.at_least 2) Relayout.default_slots
       & info [ "slots" ] ~docv:"N"
-          ~doc:
-            "Mix-shift schedule slots the replayed run rotates through \
-             (default 4, at least 2).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the olayout-relayout/v1 artifact to $(docv).")
-  in
-  let opt_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.All
-      & info [ "combo" ] ~docv:"COMBO"
-          ~doc:
-            "Layout algorithm the loop re-runs per tick (any combo except \
-             $(b,base)).")
+          ~doc:"Mix-shift schedule slots the replayed run rotates through (at least 2).")
   in
   Cmd.v
     (Cmd.info "relayout"
@@ -787,136 +508,37 @@ let relayout_cmd =
           reporting the break-even cadence and the incremental engine's \
           work savings.")
     Term.(
-      const relayout $ seed_arg $ quick_arg $ figure_arg $ opt_combo_arg
-      $ cadences_arg $ slots_arg $ out_arg)
+      const relayout $ Front.seed $ Front.scale
+      $ Front.figure ~doc:"Cache geometry the cadence sweep replays under."
+      $ Front.combo ~optimized:true ~default:Spike.All
+          ~doc:"Layout algorithm the loop re-runs per tick (any combo except $(b,base))." ()
+      $ cadences_arg $ slots_arg
+      $ Front.output ~doc:"Also write the olayout-relayout/v1 artifact to $(docv)." ())
 
 (* --- report --- *)
 
-let report seed quick only trace_stats telemetry telemetry_out jobs retain_mb engine =
+let report seed scale selection trace_stats telemetry telemetry_out jobs retain_mb engine =
   Option.iter Telemetry.open_jsonl_file telemetry_out;
-  let scale = if quick then Context.Quick else Context.Full in
   let ctx = Context.create ~scale ~seed ~engine () in
-  let selection = match only with [] -> Report.All | ids -> Report.Only ids in
-  let module Pool = Olayout_par.Pool in
-  let pool =
-    match jobs with
-    | None | Some 1 -> None
-    | Some 0 -> Some (Pool.create ())
-    | Some j -> Some (Pool.create ~jobs:j ())
-  in
-  let code =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Pool.shutdown pool)
-      (fun () ->
-        match
-          Report.run ~selection ~trace_stats ?pool ?retain_mb ctx
-            Format.std_formatter
-        with
-        | (_ : Report.figure_stat list) -> 0
-        | exception Invalid_argument msg ->
-            (* The message already lists the valid experiment ids. *)
-            Printf.eprintf "olayout: %s\n" msg;
-            1)
-  in
+  Front.with_pool jobs (fun pool ->
+      ignore
+        (Report.run ~selection ~trace_stats ?pool ?retain_mb ctx Format.std_formatter
+          : Report.figure_stat list));
   if telemetry then Telemetry.pp_summary Format.std_formatter ();
   Telemetry.close_jsonl ();
-  code
+  0
 
 let report_cmd =
-  let only_arg =
-    Arg.(
-      value & opt (list string) []
-      & info [ "only" ] ~docv:"IDS"
-          ~doc:
-            (Printf.sprintf "Experiments to run (default all): %s."
-               (String.concat ", " Report.experiment_ids)))
-  in
-  let trace_stats_arg =
-    Arg.(
-      value & flag
-      & info [ "trace-stats" ]
-          ~doc:
-            "Print per-figure trace capture/replay statistics (runs and \
-             instructions replayed vs simulated live, replay throughput) and \
-             a trace-cache summary.")
-  in
-  let telemetry_arg =
-    Arg.(
-      value & flag
-      & info [ "telemetry" ]
-          ~doc:
-            "After the report, print the telemetry summary: span aggregates \
-             (count, total and max wall seconds per span path) and the \
-             counter/gauge/histogram registry.")
-  in
-  let telemetry_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry-out" ] ~docv:"FILE"
-          ~doc:
-            "Stream telemetry as JSONL to $(docv): one JSON object per span \
-             completion, then a final registry dump.")
-  in
-  let jobs_conv =
-    let parse s =
-      match s with
-      | "auto" -> Ok 0
-      | _ -> (
-          match int_of_string_opt s with
-          | Some j when j >= 1 -> Ok j
-          | Some _ | None ->
-              Error
-                (`Msg
-                  (Printf.sprintf
-                     "expected a positive domain count or \"auto\", got %S" s)))
-    in
-    Arg.conv
-      ( parse,
-        fun ppf j ->
-          Format.pp_print_string ppf (if j = 0 then "auto" else string_of_int j) )
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some jobs_conv) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Run replay-only figures on $(docv) domains (\"auto\" sizes by the \
-             machine).  Deterministic counters are identical to the serial \
-             run; only wall-clock and the par.* metrics change.")
-  in
-  let retain_mb_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "retain-mb" ] ~docv:"MB"
-          ~doc:
-            "Bound trace-cache residency: after each figure, drop recorded \
-             streams with no remaining consumer, largest first, while the \
-             cache exceeds $(docv) MiB.")
-  in
-  let engine_arg =
-    let engine_conv =
-      Arg.enum [ ("icache", `Icache); ("stackdist", `Stackdist) ]
-    in
-    Arg.(
-      value
-      & opt engine_conv `Stackdist
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Battery backend for the sweep figures (fig4/5, fig6, fig7): \
-             $(b,stackdist) (default) computes every geometry's misses in \
-             one stack-distance pass per line size; $(b,icache) simulates \
-             one full cache per configuration.  Miss counts are identical; \
-             only the cachesim.* counters and wall-clock differ.")
-  in
   Cmd.v
     (Cmd.info "report" ~doc:"Regenerate the paper's figures.")
     Term.(
-      const report $ seed_arg $ quick_arg $ only_arg $ trace_stats_arg
-      $ telemetry_arg $ telemetry_out_arg $ jobs_arg $ retain_mb_arg
-      $ engine_arg)
+      const report $ Front.seed $ Front.scale $ Front.selection $ Front.trace_stats
+      $ telemetry_summary_arg
+          ~doc:
+            "After the report, print the telemetry summary: span aggregates \
+             (count, total and max wall seconds per span path) and the \
+             counter/gauge/histogram registry."
+      $ Front.telemetry_out $ Front.jobs $ Front.retain_mb $ Front.engine)
 
 (* --- compare: diff two run artifacts --- *)
 
@@ -943,14 +565,10 @@ let compare_artifacts old_path new_path tolerance gate gate_timing out fidelity
       Option.iter (fun f -> Format.printf "%a" Fidelity.pp f) fid;
       let failures = Diff.gate_failures ~timing:gate_timing d in
       let gate_failed = gate && failures <> [] in
-      Option.iter
+      write_artifact "compare"
         (fun path ->
-          let oc = open_out path in
-          Olayout_telemetry.Json.output oc
-            (Diff.to_json ?fidelity:fid ~gated:gate ~gate_failed d);
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "compare artifact written to %s@." path)
+          Olayout_telemetry.Json.write_file path
+            (Diff.to_json ?fidelity:fid ~gated:gate ~gate_failed d))
         out;
       if gate_failed then begin
         List.iter
@@ -978,21 +596,6 @@ let compare_cmd =
       & pos 1 (some file) None
       & info [] ~docv:"NEW" ~doc:"Artifact to compare against $(i,OLD).")
   in
-  let tolerance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "tolerance" ] ~docv:"FRACTION"
-          ~doc:
-            "Relative tolerance for timing metrics (default 0.25 = +/-25%). \
-             Deterministic metrics always require exact equality.")
-  in
-  let gate_arg =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:"Exit non-zero when any deterministic metric drifted.")
-  in
   let gate_timing_arg =
     Arg.(
       value & flag
@@ -1001,13 +604,6 @@ let compare_cmd =
             "With $(b,--gate), also fail on timing metrics beyond the \
              tolerance (off by default: wall-clock measures the machine as \
              much as the code).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the olayout-compare/v1 JSON artifact to $(docv).")
   in
   let fidelity_arg =
     Arg.(
@@ -1033,8 +629,10 @@ let compare_cmd =
          "Diff two run artifacts: deterministic metrics (simulation counters) \
           gate on exact equality, timing metrics on a relative tolerance.")
     Term.(
-      const compare_artifacts $ old_arg $ new_arg $ tolerance_arg $ gate_arg
-      $ gate_timing_arg $ out_arg $ fidelity_arg $ ignore_arg)
+      const compare_artifacts $ old_arg $ new_arg $ Front.tolerance $ Front.gate
+      $ gate_timing_arg
+      $ Front.output ~doc:"Write the olayout-compare/v1 JSON artifact to $(docv)." ()
+      $ fidelity_arg $ ignore_arg)
 
 (* --- chrome-trace: telemetry JSONL -> trace-event JSON --- *)
 
@@ -1061,17 +659,14 @@ let chrome_trace_cmd =
             "Telemetry JSONL stream (written by $(b,report --telemetry-out) \
              or $(b,bench --telemetry-out)).")
   in
-  let dst_arg =
-    Arg.(
-      value & opt string "trace.json"
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output trace-event file.")
-  in
   Cmd.v
     (Cmd.info "chrome-trace"
        ~doc:
          "Convert a telemetry JSONL stream into a Chrome trace-event file: one \
           track per figure phase, counter tracks for watched instruments.")
-    Term.(const chrome_trace $ src_arg $ dst_arg)
+    Term.(
+      const chrome_trace $ src_arg
+      $ Front.output_or ~default:"trace.json" ~doc:"Output trace-event file.")
 
 (* --- entry point --- *)
 
@@ -1100,32 +695,18 @@ let print_overview () =
   print_newline ();
   List.iter (fun (name, doc) -> Printf.printf "  %-13s %s\n" name doc) overview;
   print_newline ();
-  print_endline "Run 'olayout SUBCOMMAND --help' for that subcommand's flags."
+  print_endline "Run 'olayout SUBCOMMAND --help' for that subcommand's flags.";
+  0
 
 let () =
-  (* Subcommand dispatch runs before cmdliner: bare "olayout" and
-     "olayout help" print the overview, and a misspelled subcommand names
-     the valid set on stderr with the usage exit code instead of
-     cmdliner's terse unknown-command error. *)
-  (match Array.to_list Sys.argv with
-  | _ :: ([] | "help" :: _) ->
-      print_overview ();
-      exit 0
-  | _ :: cmd :: _
-    when String.length cmd > 0
-         && cmd.[0] <> '-'
-         && not (List.mem_assoc cmd overview) ->
-      Printf.eprintf "olayout: unknown subcommand %S (valid: %s)\n" cmd
-        (String.concat ", "
-           (List.map fst (List.filter (fun (n, _) -> n <> "help") overview)));
-      exit 2
-  | _ -> ());
+  let overview_term = Term.(const print_overview $ const ()) in
   let doc = "code layout optimizations for transaction processing workloads" in
   exit
-    (Cmd.eval'
-       (Cmd.group (Cmd.info "olayout" ~doc)
+    (Front.eval
+       (Cmd.group ~default:overview_term (Cmd.info "olayout" ~doc)
           [
             inspect_cmd; profile_cmd; disasm_cmd; optimize_cmd; simulate_cmd; trace_cmd;
             diagnose_cmd; timeline_cmd; explain_cmd; drift_cmd; relayout_cmd;
             report_cmd; compare_cmd; chrome_trace_cmd;
+            Cmd.v (Cmd.info "help" ~doc:"Show the subcommand overview.") overview_term;
           ]))

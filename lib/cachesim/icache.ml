@@ -71,13 +71,16 @@ type t = {
 
 let owner_code = function Run.App -> 0 | Run.Kernel -> 1
 
-let create ?(track_usage = false) ?on_miss ?on_evict ?(prefetch_next = 0) cfg =
+let validate cfg =
   if not (is_pow2 cfg.size_bytes && is_pow2 cfg.line_bytes) then
     invalid_arg "Icache.create: size and line must be powers of two";
   if cfg.line_bytes < 4 then
     invalid_arg "Icache.create: line must hold at least one 4-byte instruction";
   if cfg.assoc < 1 || cfg.size_bytes < cfg.line_bytes * cfg.assoc then
-    invalid_arg "Icache.create: bad associativity";
+    invalid_arg "Icache.create: bad associativity"
+
+let create ?(track_usage = false) ?on_miss ?on_evict ?(prefetch_next = 0) cfg =
+  validate cfg;
   let n_sets = cfg.size_bytes / (cfg.line_bytes * cfg.assoc) in
   let words_per_line = cfg.line_bytes / 4 in
   if track_usage && words_per_line > 62 then

@@ -25,6 +25,11 @@ val config : ?name:string -> size_kb:int -> line:int -> assoc:int -> unit -> con
     [assoc < 1] — geometry errors are reported where the configuration is
     written, not later when a cache is created from it. *)
 
+val validate : config -> unit
+(** The geometry checks {!create} applies, without allocating a cache.
+    @raise Invalid_argument on sizes or lines that are not powers of two,
+    lines under 4 bytes, or [size_bytes < line_bytes * assoc]. *)
+
 type t
 
 val create :

@@ -173,10 +173,7 @@ let to_json ~scale t =
     ]
 
 let write_artifact ~path ~scale t =
-  let oc = open_out path in
-  Json.output oc (to_json ~scale t);
-  output_char oc '\n';
-  close_out oc
+  Json.write_file path (to_json ~scale t)
 
 (* --- gauges ------------------------------------------------------------ *)
 

@@ -187,7 +187,4 @@ let write_artifact ~path ~scale ~combo ~preset ~icache_misses_delta d =
         ("diag", Diag.json ~top:20 d);
       ]
   in
-  let oc = open_out path in
-  Json.output oc doc;
-  output_char oc '\n';
-  close_out oc
+  Json.write_file path doc

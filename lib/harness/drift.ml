@@ -245,10 +245,3 @@ let matrix_table r =
   tbl
 
 let tables r = [ series_table r; matrix_table r ]
-
-(* --- artifact ---------------------------------------------------------- *)
-
-let artifact_schema = Observatory.artifact_schema
-let default_path ~scale = Printf.sprintf "DRIFT_%s.json" scale
-let artifact_json ~scale r = Observatory.to_json ~scale r
-let write_artifact ~path ~scale r = Observatory.write_artifact ~path ~scale r

@@ -45,8 +45,3 @@ val last : unit -> Observatory.t option
 
 val tables : Observatory.t -> Table.t list
 (** Report rendering: divergence sparkline table + staleness matrix. *)
-
-val artifact_schema : string
-val default_path : scale:string -> string
-val artifact_json : scale:string -> Observatory.t -> Olayout_telemetry.Json.t
-val write_artifact : path:string -> scale:string -> Observatory.t -> unit

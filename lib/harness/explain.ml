@@ -147,7 +147,6 @@ let scorecard_table ~top r =
 let tables ?(top = 10) r = [ summary_table r; scorecard_table ~top r ]
 
 let artifact_schema = "olayout-explain/v1"
-let default_path ~scale = Printf.sprintf "EXPLAIN_%s.json" scale
 
 (* All numeric content nests under "explain" so every flattened metric
    path classifies as Deterministic in Diff (head segment "explain").
@@ -165,7 +164,4 @@ let artifact_json ~scale r =
     ]
 
 let write_artifact ~path ~scale r =
-  let oc = open_out path in
-  Json.output oc (artifact_json ~scale r);
-  output_char oc '\n';
-  close_out oc
+  Json.write_file path (artifact_json ~scale r)

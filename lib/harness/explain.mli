@@ -41,9 +41,6 @@ val tables : ?top:int -> result -> Table.t list
 val artifact_schema : string
 (** ["olayout-explain/v1"]. *)
 
-val default_path : scale:string -> string
-(** ["EXPLAIN_<scale>.json"]. *)
-
 val artifact_json : scale:string -> result -> Olayout_telemetry.Json.t
 
 val write_artifact : path:string -> scale:string -> result -> unit

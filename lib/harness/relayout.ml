@@ -252,10 +252,3 @@ let series_table r =
   tbl
 
 let tables r = [ curve_table r; series_table r ]
-
-(* --- artifact ---------------------------------------------------------- *)
-
-let artifact_schema = Closedloop.artifact_schema
-let default_path ~scale = Printf.sprintf "RELAYOUT_%s.json" scale
-let artifact_json ~scale r = Closedloop.to_json ~scale r
-let write_artifact ~path ~scale r = Closedloop.write_artifact ~path ~scale r

@@ -50,8 +50,3 @@ val last : unit -> Closedloop.t option
 
 val tables : Closedloop.t -> Table.t list
 (** Cadence-sweep curve and per-window miss sparklines for the report. *)
-
-val artifact_schema : string
-val default_path : scale:string -> string
-val artifact_json : scale:string -> Closedloop.t -> Olayout_telemetry.Json.t
-val write_artifact : path:string -> scale:string -> Closedloop.t -> unit

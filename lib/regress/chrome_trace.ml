@@ -305,11 +305,4 @@ let read_jsonl path =
 
 let of_jsonl path = of_events (read_jsonl path)
 
-let convert ~src ~dst =
-  let doc = of_jsonl src in
-  let oc = open_out dst in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Json.output oc doc;
-      output_char oc '\n')
+let convert ~src ~dst = Json.write_file dst (of_jsonl src)

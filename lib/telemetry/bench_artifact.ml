@@ -176,7 +176,4 @@ let json ~scale ~total_seconds ~trace_cache_bytes ~figures =
 let default_path ~scale = Printf.sprintf "BENCH_%s.json" scale
 
 let write ~path ~scale ~total_seconds ~trace_cache_bytes ~figures =
-  let oc = open_out path in
-  Json.output oc (json ~scale ~total_seconds ~trace_cache_bytes ~figures);
-  output_char oc '\n';
-  close_out oc
+  Json.write_file path (json ~scale ~total_seconds ~trace_cache_bytes ~figures)

@@ -69,6 +69,11 @@ let to_string j =
 
 let output oc j = Stdlib.output_string oc (to_string j)
 
+let write_file path j =
+  Out_channel.with_open_text path (fun oc ->
+      output oc j;
+      Stdlib.output_char oc '\n')
+
 (* --- decoder ---------------------------------------------------------- *)
 
 (* Started as the validating reader in test/helpers.ml; promoted here once

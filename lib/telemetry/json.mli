@@ -23,6 +23,11 @@ val to_string : t -> string
 
 val output : out_channel -> t -> unit
 
+val write_file : string -> t -> unit
+(** [write_file path j] writes [j] and a newline as the whole of [path]:
+    the one writer of every whole-document artifact.
+    @raise Sys_error when [path] cannot be opened. *)
+
 (** {1 Decoding} *)
 
 exception Parse_error of string

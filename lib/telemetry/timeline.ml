@@ -290,10 +290,7 @@ let to_json ~scale =
     ]
 
 let write_artifact ~path ~scale =
-  let oc = open_out path in
-  Json.output oc (to_json ~scale);
-  output_char oc '\n';
-  close_out oc
+  Json.write_file path (to_json ~scale)
 
 let events () =
   dump ()

@@ -26,5 +26,6 @@ let () =
       Test_relayout.suite;
       Test_par.suite;
       Test_regress.suite;
+      Test_front.suite;
       Test_properties.suite;
     ]

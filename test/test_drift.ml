@@ -275,7 +275,7 @@ let test_artifact () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Drift.write_artifact ~path ~scale:"quick" r;
+      Observatory.write_artifact ~path ~scale:"quick" r;
       let art = Artifact.load_file path in
       Alcotest.(check string) "schema" "olayout-drift/v1" art.Artifact.schema;
       Alcotest.(check string) "scale" "quick" art.Artifact.scale;
@@ -294,7 +294,7 @@ let test_artifact () =
             (Diff.classify p = Diff.Deterministic))
         art.Artifact.metrics);
   let fields =
-    match Drift.artifact_json ~scale:"quick" r with
+    match Observatory.to_json ~scale:"quick" r with
     | Json.Object fs -> List.map fst fs
     | _ -> []
   in
@@ -309,7 +309,7 @@ let test_repeatable_bytes () =
   let ctx = Lazy.force ctx in
   let doc () =
     Json.to_string
-      (Drift.artifact_json ~scale:"quick"
+      (Observatory.to_json ~scale:"quick"
          (Drift.run ctx (Diagnose.preset_of_figure "fig4")))
   in
   Alcotest.(check string) "byte-identical re-run" (doc ()) (doc ())

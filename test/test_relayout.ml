@@ -381,7 +381,7 @@ let test_artifact () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Relayout.write_artifact ~path ~scale:"quick" r;
+      Closedloop.write_artifact ~path ~scale:"quick" r;
       let art = Artifact.load_file path in
       Alcotest.(check string) "schema" "olayout-relayout/v1" art.Artifact.schema;
       Alcotest.(check string) "scale" "quick" art.Artifact.scale;
@@ -398,7 +398,7 @@ let test_artifact () =
             (Diff.classify p = Diff.Deterministic))
         art.Artifact.metrics);
   let fields =
-    match Relayout.artifact_json ~scale:"quick" r with
+    match Closedloop.to_json ~scale:"quick" r with
     | Json.Object fs -> List.map fst fs
     | _ -> []
   in
@@ -414,7 +414,7 @@ let test_repeatable_bytes () =
   ignore (Lazy.force results);
   let doc () =
     Json.to_string
-      (Relayout.artifact_json ~scale:"quick"
+      (Closedloop.to_json ~scale:"quick"
          (Relayout.run c (Diagnose.preset_of_figure "fig4")))
   in
   Alcotest.(check string) "byte-identical re-run" (doc ()) (doc ())
