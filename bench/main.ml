@@ -150,7 +150,7 @@ let bench (opts : Bench_options.t) =
     "olayout bench: reproducing Ramirez et al., ISCA 2001 (%s scale, %s sweep engine)@."
     scale_name
     (Olayout_cachesim.Battery.engine_name opts.engine);
-  let (ctx, figures), total_seconds =
+  let (ctx, outcomes), total_seconds =
     Front.with_pool opts.jobs (fun pool ->
         Option.iter
           (fun p -> Format.printf "parallel schedule: %d domains@." (Pool.jobs p))
@@ -161,13 +161,13 @@ let bench (opts : Bench_options.t) =
                   Context.create ~scale ~engine:opts.engine ())
             in
             Format.printf "workload built and profiled in %.1fs@." setup_seconds;
-            let figures =
+            let outcomes =
               Report.run ~selection:opts.selection ~trace_stats:opts.trace_stats ?pool
                 ?retain_mb:opts.retain_mb ctx Format.std_formatter
             in
             if opts.micro then
               Telemetry.span "bench.micro" (fun () -> microbench ctx);
-            (ctx, figures)))
+            (ctx, outcomes)))
   in
   Format.printf "@.bench total: %.1fs@." total_seconds;
   (* Resource headlines next to the total: peak trace-cache residency and
@@ -186,22 +186,7 @@ let bench (opts : Bench_options.t) =
   if opts.bench_json || opts.bench_json_out <> None || opts.baseline <> None
   then begin
     let stats = Context.trace_stats ctx in
-    let figures =
-      List.map
-        (fun (f : Report.figure_stat) ->
-          {
-            Bench_artifact.id = f.fig_id;
-            desc = f.fig_desc;
-            seconds = f.fig_seconds;
-            runs_live = f.fig_live_runs;
-            runs_replayed = f.fig_replayed_runs;
-            instrs_live = f.fig_live_instrs;
-            instrs_replayed = f.fig_replayed_instrs;
-            live_executions = f.fig_live_executions;
-            traces_replayed = f.fig_replayed_traces;
-          })
-        figures
-    in
+    let figures = List.map (fun (o : Report.outcome) -> o.figure) outcomes in
     let path =
       match opts.bench_json_out with
       | Some p -> p
@@ -238,27 +223,15 @@ let bench (opts : Bench_options.t) =
       Explain.write_artifact ~path ~scale:scale_name r;
       Format.printf "explain artifact written to %s@." path)
     opts.explain_out;
-  (* The DRIFT artifact: reuse the report's drift-experiment result when it
-     ran (the default selection includes it), otherwise run the two-pass
-     driver now.  Emitted before --diagnose for the same cross-leg freeze
-     reason as TIMELINE/EXPLAIN. *)
-  Option.iter
-    (fun path ->
-      let module Drift = Olayout_harness.Drift in
-      let r = match Drift.last () with Some r -> r | None -> Drift.run ctx fig4 in
-      Olayout_drift.Observatory.write_artifact ~path ~scale:scale_name r;
-      Format.printf "drift artifact written to %s@." path)
-    opts.drift_out;
-  (* The RELAYOUT artifact: reuse the report's relayout-experiment result
-     when it ran, otherwise run the cadence sweep now.  Emitted before
-     --diagnose for the same cross-leg freeze reason. *)
-  Option.iter
-    (fun path ->
-      let module Relayout = Olayout_harness.Relayout in
-      let r = match Relayout.last () with Some r -> r | None -> Relayout.run ctx fig4 in
-      Olayout_drift.Closedloop.write_artifact ~path ~scale:scale_name r;
-      Format.printf "relayout artifact written to %s@." path)
-    opts.relayout_out;
+  (* The --<id>-out artifacts (DRIFT, RELAYOUT): bound from the report's
+     run of the experiment, or run once now when --only left it out.
+     Emitted before --diagnose for the same cross-leg freeze reason as
+     TIMELINE/EXPLAIN. *)
+  List.iter
+    (fun (id, path) ->
+      Json.write_file path (Report.artifact outcomes ctx id ~scale:scale_name);
+      Format.printf "%s artifact written to %s@." id path)
+    opts.artifacts;
   if opts.diagnose then begin
     (* The DIAG artifact: diagnose the baseline layout at the headline
        geometry.  The icache-miss counter delta around the measurement is

@@ -51,6 +51,18 @@ let write_artifact what write out =
 
 let print_tables = List.iter (fun tbl -> Table.print Format.std_formatter tbl)
 
+(* A registry experiment run with the subcommand's own parameters: print
+   the tables the report prints and write the artifact the bench writes. *)
+let show_experiment (e : _ Olayout_harness.Experiment.spec) scale out r =
+  print_tables (e.tables r);
+  Option.iter
+    (fun artifact ->
+      write_artifact e.id
+        (fun path ->
+          Olayout_telemetry.Json.write_file path (artifact ~scale:(Front.scale_name scale)))
+        out)
+    (Olayout_harness.Experiment.artifact e r)
+
 let telemetry_summary_arg ~doc = Arg.(value & flag & info [ "telemetry" ] ~doc)
 
 (* --- inspect --- *)
@@ -106,9 +118,14 @@ let profile_cmd =
     (Cmd.info "profile" ~doc:"Run the training phase and save the profile to a file.")
     Term.(const profile_cmd_run $ Front.seed $ Front.scale $ out_arg)
 
-(* Load a saved profile or train a fresh one. *)
+(* Load a saved profile or train a fresh one.  A malformed profile file is
+   a usage error. *)
 let obtain_profile w scale = function
-  | Some path -> Profile.load_file (Binary.prog (Workload.app w)) path
+  | Some path -> (
+      try Profile.load_file (Binary.prog (Workload.app w)) path
+      with Profile.Load_error msg ->
+        Printf.eprintf "olayout: --profile-file: %s\n" msg;
+        exit Front.usage_status)
   | None -> fst (Workload.train w ~txns:(train_txns scale) ())
 
 let profile_file_arg =
@@ -434,11 +451,7 @@ let explain_cmd =
 let drift seed scale preset combo phases top out =
   let module Drift = Olayout_harness.Drift in
   let ctx = Context.create ~scale ~seed () in
-  let r = Drift.run ~combo ~phases ~top ctx preset in
-  Drift.Observatory.pp Format.std_formatter r;
-  write_artifact "drift"
-    (fun path -> Drift.Observatory.write_artifact ~path ~scale:(Front.scale_name scale) r)
-    out;
+  show_experiment Drift.experiment scale out (Drift.run ~combo ~phases ~top ctx preset);
   0
 
 let drift_cmd =
@@ -458,7 +471,7 @@ let drift_cmd =
          "Workload-drift observatory: run the OLTP server under a \
           deterministic mid-run mix shift, chart per-window profile \
           divergence as sparklines, and replay every (phase layout, phase \
-          slice) pairing into a layout-staleness heatmap.")
+          slice) pairing into a shaded layout-staleness matrix.")
     Term.(
       const drift $ Front.seed $ Front.scale
       $ Front.figure ~doc:"Cache geometry the staleness matrix replays under."
@@ -473,11 +486,8 @@ let drift_cmd =
 let relayout seed scale preset combo cadences slots out =
   let module Relayout = Olayout_harness.Relayout in
   let ctx = Context.create ~scale ~seed () in
-  let r = Relayout.run ~combo ~cadences ~slots ctx preset in
-  Relayout.Closedloop.pp Format.std_formatter r;
-  write_artifact "relayout"
-    (fun path -> Relayout.Closedloop.write_artifact ~path ~scale:(Front.scale_name scale) r)
-    out;
+  show_experiment Relayout.experiment scale out
+    (Relayout.run ~combo ~cadences ~slots ctx preset);
   0
 
 let relayout_cmd =
@@ -523,7 +533,7 @@ let report seed scale selection trace_stats telemetry telemetry_out jobs retain_
   Front.with_pool jobs (fun pool ->
       ignore
         (Report.run ~selection ~trace_stats ?pool ?retain_mb ctx Format.std_formatter
-          : Report.figure_stat list));
+          : Report.outcome list));
   if telemetry then Telemetry.pp_summary Format.std_formatter ();
   Telemetry.close_jsonl ();
   0

@@ -21,12 +21,28 @@ type t = {
   timeline_out : string option;
   timeline_window : int option;
   explain_out : string option;
-  drift_out : string option;
-  relayout_out : string option;
+  artifacts : (string * string) list;
 }
 
 let flag name doc = Arg.(value & flag & info [ name ] ~doc)
 let out name doc = Front.output ~names:[ name ] ~doc ()
+
+(* One --<id>-out flag per registry experiment that declares an artifact,
+   collected as (id, path) pairs in registry order. *)
+let artifacts =
+  List.fold_right
+    (fun e rest ->
+      let id = Olayout_harness.Experiment.id e in
+      let path =
+        out (id ^ "-out")
+          (Printf.sprintf "Write the artifact of the $(b,%s) experiment (%s)." id
+             (Olayout_harness.Experiment.desc e))
+      in
+      Term.(
+        const (fun path rest -> match path with Some p -> (id, p) :: rest | None -> rest)
+        $ path $ rest))
+    (List.filter Olayout_harness.Experiment.has_artifact Olayout_harness.Report.experiments)
+    (Term.const [])
 
 let check o =
   if o.gate && o.baseline = None then
@@ -70,8 +86,7 @@ let term =
          & info [ "timeline-window" ] ~docv:"INSTRS"
              ~doc:"Timeline window width in instructions (default 65536 quick, 524288 full).")
      and+ explain_out = out "explain-out" "Write the per-procedure layout scorecard artifact."
-     and+ drift_out = out "drift-out" "Write the workload-drift observatory artifact."
-     and+ relayout_out = out "relayout-out" "Write the closed-loop re-layout cadence sweep artifact." in
+     and+ artifacts = artifacts in
      check
        {
          scale;
@@ -94,8 +109,7 @@ let term =
          timeline_out;
          timeline_window;
          explain_out;
-         drift_out;
-         relayout_out;
+         artifacts;
        }
 
 let cmd f =

@@ -22,8 +22,10 @@ type t = {
   timeline_out : string option;
   timeline_window : int option;
   explain_out : string option;
-  drift_out : string option;
-  relayout_out : string option;
+  artifacts : (string * string) list;
+      (** [(id, path)] per [--<id>-out PATH] flag, in registry order: one
+          flag per {!Olayout_harness.Report.experiments} entry that declares
+          an artifact ([--drift-out], [--relayout-out]). *)
 }
 
 val term : t Cmdliner.Term.t

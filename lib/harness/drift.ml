@@ -42,9 +42,6 @@ let default_window = 65536
 let default_phases = 4
 let default_top = 8
 
-let last_result : Observatory.t option ref = ref None
-let last () = !last_result
-
 let run ?(combo = Spike.All) ?(phases = default_phases)
     ?(window = default_window) ?(top = default_top) ctx preset =
   if combo = Spike.Base then
@@ -173,7 +170,6 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
       in
       Observatory.publish_gauges r;
       Observatory.publish_timeline r;
-      last_result := Some r;
       r)
 
 (* --- report tables ----------------------------------------------------- *)
@@ -214,6 +210,11 @@ let series_table r =
 
 let matrix_table r =
   let n = Observatory.phases r in
+  let vmax =
+    Array.fold_left
+      (Array.fold_left (fun acc c -> max acc (Observatory.mpki_x100 c)))
+      0 r.Observatory.o_cells
+  in
   let tbl =
     Table.create
       ~title:
@@ -232,16 +233,32 @@ let matrix_table r =
         :: Array.to_list
              (Array.mapi
                 (fun j c ->
-                  let s = fmt_mpki (Observatory.mpki_x100 c) in
-                  if i = j && i < n then s ^ "*" else s)
+                  let v = Observatory.mpki_x100 c in
+                  Olayout_util.Console.shade ~vmax v
+                  ^ fmt_mpki v
+                  ^ if i = j && i < n then "*" else "")
                 row)))
     r.Observatory.o_cells;
   Table.add_note tbl
     (Printf.sprintf
-       "* = layout replaying its own phase; diag max %s vs off-diag max %s \
-        mpki (fresh cache per cell)"
+       "* = layout replaying its own phase; shade scales with mpki; diag \
+        max %s vs off-diag max %s mpki (fresh cache per cell)"
        (fmt_mpki (Observatory.diag_max_mpki_x100 r))
        (fmt_mpki (Observatory.offdiag_max_mpki_x100 r)));
   tbl
 
 let tables r = [ series_table r; matrix_table r ]
+
+let experiment =
+  {
+    Experiment.id = "drift";
+    desc = "extension: workload drift observatory";
+    (* Scheduled server runs share the trace cache (keyed by schedule
+       signature), but the first run of a fresh context still walks live —
+       and no unscheduled cached streams are consumed. *)
+    live = true;
+    streams = [];
+    run = (fun _ ctx -> run ctx (Diagnose.preset_of_figure "fig4"));
+    tables;
+    to_json = Some Observatory.to_json;
+  }

@@ -58,9 +58,6 @@ let push v x =
   v.a.(v.n) <- x;
   v.n <- v.n + 1
 
-let last_result : Closedloop.t option ref = ref None
-let last () = !last_result
-
 let run ?(combo = Spike.All) ?(cadences = default_cadences)
     ?(window = default_window) ?(slots = default_slots) ctx preset =
   if combo = Spike.Base then
@@ -186,7 +183,6 @@ let run ?(combo = Spike.All) ?(cadences = default_cadences)
       in
       Closedloop.publish_gauges r;
       Closedloop.publish_timeline r;
-      last_result := Some r;
       r)
 
 (* --- report tables ----------------------------------------------------- *)
@@ -198,13 +194,18 @@ let curve_table r =
     Table.create
       ~title:
         (Printf.sprintf
-           "re-layout cadence sweep: %s layout, %d windows x %d instrs \
+           "re-layout cadence sweep (%s): %s layout, %d windows x %d instrs \
             (cache persists across ticks)"
-           r.Closedloop.r_combo r.Closedloop.r_windows
+           r.Closedloop.r_figure r.Closedloop.r_combo r.Closedloop.r_windows
            r.Closedloop.r_window_instrs)
-      ~columns:[ "cadence"; "relayouts"; "misses"; "mpki"; "work_x" ]
+      ~columns:[ "cadence"; "relayouts"; "misses"; "mpki"; "work_x"; "vs static" ]
   in
+  let static_misses = r.Closedloop.r_static.Closedloop.c_misses in
   let row name (p : Closedloop.point) =
+    let delta_permille =
+      if static_misses <= 0 then 0
+      else (p.Closedloop.c_misses - static_misses) * 1000 / static_misses
+    in
     Table.add_row tbl
       [
         name;
@@ -212,6 +213,7 @@ let curve_table r =
         Table.fmt_int p.Closedloop.c_misses;
         fmt_x100 (Closedloop.mpki_x100 p);
         fmt_x100 (Olayout_drift.Observatory.work_ratio_x100 p.Closedloop.c_work);
+        Printf.sprintf "%+.1f%%" (float_of_int delta_permille /. 10.0);
       ]
   in
   row "static" r.Closedloop.r_static;
@@ -252,3 +254,17 @@ let series_table r =
   tbl
 
 let tables r = [ curve_table r; series_table r ]
+
+let experiment =
+  {
+    Experiment.id = "relayout";
+    desc = "extension: closed-loop incremental re-layout";
+    (* Shares the drift experiment's scheduled stream through the trace
+       cache; the capture pass itself is live (app sinks observe the
+       walk). *)
+    live = true;
+    streams = [];
+    run = (fun _ ctx -> run ctx (Diagnose.preset_of_figure "fig4"));
+    tables;
+    to_json = Some Closedloop.to_json;
+  }

@@ -44,9 +44,8 @@ val run :
     @raise Invalid_argument for [combo = Base], an empty or non-positive
     cadence list, [window < 1] or [slots < 2]. *)
 
-val last : unit -> Closedloop.t option
-(** The most recent {!run} result, for artifact reuse (the bench emits the
-    RELAYOUT artifact from the report's experiment run when present). *)
-
-val tables : Closedloop.t -> Table.t list
-(** Cadence-sweep curve and per-window miss sparklines for the report. *)
+val experiment : Closedloop.t Experiment.spec
+(** The report's [relayout] experiment: {!run} with the defaults at the
+    fig4 geometry; its tables are the cadence-sweep curve (with each
+    cadence's miss delta vs static) and per-window miss sparklines; its
+    artifact is [olayout-relayout/v1]. *)

@@ -1,209 +1,97 @@
 module Pool = Olayout_par.Pool
 module Spike = Olayout_core.Spike
 module Telemetry = Olayout_telemetry.Telemetry
+module Bench_artifact = Olayout_telemetry.Bench_artifact
 
 type selection = All | Only of string list
-
-(* A measurement stream in the context's trace cache: app combination plus
-   which of the two context-owned kernels rendered alongside it. *)
-type stream = Spike.combo * [ `Base | `Optimized ]
-
-(* Each experiment declares what it needs from the shared trace cache:
-
-   - [e_streams]: the streams it consumes (recording them first if absent).
-     Drives both the parallel schedule (a figure is dispatched to the pool
-     only when every declared stream was provided by an earlier figure) and
-     trace retention (a stream is droppable after its last declared
-     consumer).  Under-declaring is a determinism bug for replay-only
-     figures (the worker guard in Context turns it into an error), merely
-     wasteful for live ones (they re-record).
-   - [e_live]: the figure observes or mutates the walk itself (block sinks,
-     data refs, context switches, ad-hoc placements, own server runs) and
-     must execute on the dispatching domain. *)
-type experiment = {
-  e_id : string;
-  e_desc : string;
-  e_live : bool;
-  e_streams : stream list;
-  e_run : Pool.t option -> Context.t -> Table.t list;
-}
 
 let app c = (c, `Base)
 let kern c = (c, `Optimized)
 let base_all = [ app Spike.Base; app Spike.All ]
 let all_combos = List.map app Spike.all_combos
 
-let experiments : experiment list =
+let experiments =
+  let v = Experiment.v in
   [
-    {
-      e_id = "fig3";
-      e_desc = "execution profile";
-      e_live = false;
-      (* Fig 3 computes from the training profile, but it also records the
-         (Base, All) streams up front: the recording walk is attributed to
-         its figure_stat (it used to land on fig4, leaving fig3 reporting
-         runs_live = 0) and every later sweep figure replays + schedules
-         onto the pool from the start. *)
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_footprint.tables (Fig_footprint.run ctx));
-    };
-    {
-      e_id = "fig4";
-      e_desc = "cache/line sweep (figs 4-5)";
-      e_live = false;
-      e_streams = base_all;
-      e_run = (fun pool ctx -> Fig_line_sweep.tables (Fig_line_sweep.run ?pool ctx));
-    };
-    {
-      e_id = "fig6";
-      e_desc = "associativity";
-      e_live = false;
-      e_streams = base_all;
-      e_run = (fun pool ctx -> Fig_assoc.tables (Fig_assoc.run ?pool ctx));
-    };
-    {
-      e_id = "fig7";
-      e_desc = "optimization combinations";
-      e_live = false;
-      e_streams = all_combos;
-      e_run = (fun pool ctx -> Fig_combos.tables (Fig_combos.run ?pool ctx));
-    };
-    {
-      e_id = "fig8";
-      e_desc = "sequence lengths";
-      e_live = false;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_sequences.tables (Fig_sequences.run ctx));
-    };
-    {
-      e_id = "fig9";
-      e_desc = "line usage (figs 9-11)";
-      e_live = false;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_usage.tables (Fig_usage.run ctx));
-    };
-    {
-      e_id = "fig12";
-      e_desc = "combined app+OS (figs 12-13)";
-      e_live = false;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_combined.tables (Fig_combined.run ctx));
-    };
-    {
-      e_id = "fig14";
-      e_desc = "iTLB and L2";
-      e_live = true;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_memsys.tables (Fig_memsys.run ctx));
-    };
-    {
-      e_id = "fig15";
-      e_desc = "execution time";
-      e_live = false;
-      e_streams = all_combos;
-      e_run = (fun _ ctx -> Fig_exec_time.tables (Fig_exec_time.run ctx));
-    };
-    {
-      e_id = "intext";
-      e_desc = "in-text measurements";
-      e_live = false;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Intext.tables (Intext.run ctx));
-    };
-    {
-      e_id = "ablations";
-      e_desc = "design ablations";
-      e_live = true;
-      e_streams = [ app Spike.All; kern Spike.All ];
-      e_run = (fun _ ctx -> Ablations.tables (Ablations.run ctx));
-    };
-    {
-      e_id = "prefetch";
-      e_desc = "extension: stream-buffer prefetch";
-      e_live = false;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_prefetch.tables (Fig_prefetch.run ctx));
-    };
-    {
-      e_id = "joint";
-      e_desc = "extension: joint app+kernel layout";
-      e_live = true;
-      e_streams = [ app Spike.All; kern Spike.All ];
-      e_run = (fun _ ctx -> Fig_joint.tables (Fig_joint.run ctx));
-    };
-    {
-      e_id = "bpred";
-      e_desc = "extension: branch prediction";
-      e_live = true;
-      e_streams = [];
-      e_run = (fun _ ctx -> Fig_bpred.tables (Fig_bpred.run ctx));
-    };
-    {
-      e_id = "coloring";
-      e_desc = "extension: cache-line coloring";
-      e_live = true;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_coloring.tables (Fig_coloring.run ctx));
-    };
-    {
-      e_id = "dss";
-      e_desc = "extension: DSS contrast workload";
-      e_live = true;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_dss.tables (Fig_dss.run ctx));
-    };
-    {
-      e_id = "multiproc";
-      e_desc = "extension: per-CPU caches";
-      e_live = true;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_multiproc.tables (Fig_multiproc.run ctx));
-    };
-    {
-      e_id = "temporal";
-      e_desc = "extension: temporal ordering (Gloy et al.)";
-      e_live = true;
-      e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_temporal.tables (Fig_temporal.run ctx));
-    };
-    {
-      e_id = "drift";
-      e_desc = "extension: workload drift observatory";
-      (* Scheduled server runs share the trace cache (keyed by schedule
-         signature), but the first run of a fresh context still walks
-         live — and no unscheduled cached streams are consumed. *)
-      e_live = true;
-      e_streams = [];
-      e_run =
-        (fun _ ctx ->
-          Drift.tables (Drift.run ctx (Diagnose.preset_of_figure "fig4")));
-    };
-    {
-      e_id = "relayout";
-      e_desc = "extension: closed-loop incremental re-layout";
-      (* Shares the drift experiment's scheduled stream through the trace
-         cache; the capture pass itself is live (app sinks observe the
-         walk). *)
-      e_live = true;
-      e_streams = [];
-      e_run =
-        (fun _ ctx ->
-          Relayout.tables (Relayout.run ctx (Diagnose.preset_of_figure "fig4")));
-    };
+    (* Fig 3 computes from the training profile, but it also records the
+       (Base, All) streams up front: the recording walk is attributed to its
+       figure (it used to land on fig4, leaving fig3 reporting
+       runs_live = 0) and every later sweep figure replays + schedules onto
+       the pool from the start. *)
+    v ~id:"fig3" ~desc:"execution profile" ~streams:base_all
+      (fun _ ctx -> Fig_footprint.run ctx)
+      Fig_footprint.tables;
+    v ~id:"fig4" ~desc:"cache/line sweep (figs 4-5)" ~streams:base_all
+      (fun pool ctx -> Fig_line_sweep.run ?pool ctx)
+      Fig_line_sweep.tables;
+    v ~id:"fig6" ~desc:"associativity" ~streams:base_all
+      (fun pool ctx -> Fig_assoc.run ?pool ctx)
+      Fig_assoc.tables;
+    v ~id:"fig7" ~desc:"optimization combinations" ~streams:all_combos
+      (fun pool ctx -> Fig_combos.run ?pool ctx)
+      Fig_combos.tables;
+    v ~id:"fig8" ~desc:"sequence lengths" ~streams:base_all
+      (fun _ ctx -> Fig_sequences.run ctx)
+      Fig_sequences.tables;
+    v ~id:"fig9" ~desc:"line usage (figs 9-11)" ~streams:base_all
+      (fun _ ctx -> Fig_usage.run ctx)
+      Fig_usage.tables;
+    v ~id:"fig12" ~desc:"combined app+OS (figs 12-13)" ~streams:base_all
+      (fun _ ctx -> Fig_combined.run ctx)
+      Fig_combined.tables;
+    v ~id:"fig14" ~desc:"iTLB and L2" ~live:true ~streams:base_all
+      (fun _ ctx -> Fig_memsys.run ctx)
+      Fig_memsys.tables;
+    v ~id:"fig15" ~desc:"execution time" ~streams:all_combos
+      (fun _ ctx -> Fig_exec_time.run ctx)
+      Fig_exec_time.tables;
+    v ~id:"intext" ~desc:"in-text measurements" ~streams:base_all
+      (fun _ ctx -> Intext.run ctx)
+      Intext.tables;
+    v ~id:"ablations" ~desc:"design ablations" ~live:true
+      ~streams:[ app Spike.All; kern Spike.All ]
+      (fun _ ctx -> Ablations.run ctx)
+      Ablations.tables;
+    v ~id:"prefetch" ~desc:"extension: stream-buffer prefetch" ~streams:base_all
+      (fun _ ctx -> Fig_prefetch.run ctx)
+      Fig_prefetch.tables;
+    v ~id:"joint" ~desc:"extension: joint app+kernel layout" ~live:true
+      ~streams:[ app Spike.All; kern Spike.All ]
+      (fun _ ctx -> Fig_joint.run ctx)
+      Fig_joint.tables;
+    v ~id:"bpred" ~desc:"extension: branch prediction" ~live:true ~streams:[]
+      (fun _ ctx -> Fig_bpred.run ctx)
+      Fig_bpred.tables;
+    v ~id:"coloring" ~desc:"extension: cache-line coloring" ~live:true ~streams:base_all
+      (fun _ ctx -> Fig_coloring.run ctx)
+      Fig_coloring.tables;
+    v ~id:"dss" ~desc:"extension: DSS contrast workload" ~live:true ~streams:base_all
+      (fun _ ctx -> Fig_dss.run ctx)
+      Fig_dss.tables;
+    v ~id:"multiproc" ~desc:"extension: per-CPU caches" ~live:true ~streams:base_all
+      (fun _ ctx -> Fig_multiproc.run ctx)
+      Fig_multiproc.tables;
+    v ~id:"temporal" ~desc:"extension: temporal ordering (Gloy et al.)" ~live:true
+      ~streams:base_all
+      (fun _ ctx -> Fig_temporal.run ctx)
+      Fig_temporal.tables;
+    Experiment.E Drift.experiment;
+    Experiment.E Relayout.experiment;
   ]
 
-let experiment_ids = List.map (fun e -> e.e_id) experiments
+let experiment_ids = List.map Experiment.id experiments
 
-type figure_stat = {
-  fig_id : string;
-  fig_desc : string;
-  fig_seconds : float;
-  fig_live_runs : int;
-  fig_replayed_runs : int;
-  fig_live_instrs : int;
-  fig_replayed_instrs : int;
-  fig_live_executions : int;
-  fig_replayed_traces : int;
+let find id =
+  match List.find_opt (fun e -> Experiment.id e = id) experiments with
+  | Some e -> e
+  | None ->
+      invalid_arg
+        (Printf.sprintf "unknown experiment %s (valid ids: %s)" id
+           (String.concat ", " experiment_ids))
+
+type outcome = {
+  figure : Bench_artifact.figure;
+  artifact : Experiment.artifact option;
 }
 
 let mruns_per_s runs seconds =
@@ -259,16 +147,8 @@ let select selection =
   match selection with
   | All -> experiments
   | Only ids ->
-      (* Validate against a lookup list built once, not per requested id. *)
-      let known = experiment_ids in
-      let unknown = List.filter (fun id -> not (List.mem id known)) ids in
-      if unknown <> [] then
-        invalid_arg
-          (Printf.sprintf "unknown experiment%s %s (valid ids: %s)"
-             (if List.length unknown > 1 then "s" else "")
-             (String.concat ", " unknown)
-             (String.concat ", " known));
-      List.filter (fun e -> List.mem e.e_id ids) experiments
+      List.iter (fun id -> ignore (find id)) ids;
+      List.filter (fun e -> List.mem (Experiment.id e) ids) experiments
 
 (* A figure can go to the pool only when it neither observes the walk nor
    needs a stream no earlier figure has provided (serial figures provide
@@ -278,12 +158,12 @@ let schedule selected =
   List.map
     (fun e ->
       let parallel =
-        (not e.e_live)
-        && List.for_all (fun s -> List.mem s !provided) e.e_streams
+        (not (Experiment.live e))
+        && List.for_all (fun s -> List.mem s !provided) (Experiment.streams e)
       in
       List.iter
         (fun s -> if not (List.mem s !provided) then provided := s :: !provided)
-        e.e_streams;
+        (Experiment.streams e);
       (e, parallel))
     selected
 
@@ -296,8 +176,8 @@ let schedule selected =
    deterministic counters (and the peak gauge) cannot depend on -j. *)
 type retention = {
   r_bytes : int;
-  r_last : (stream * int) list; (* stream -> last consumer index *)
-  mutable r_releasable : stream list;
+  r_last : (Experiment.stream * int) list; (* stream -> last consumer index *)
+  mutable r_releasable : Experiment.stream list;
 }
 
 let retention_of ~retain_mb scheduled =
@@ -306,7 +186,8 @@ let retention_of ~retain_mb scheduled =
   | Some mb ->
       let last = Hashtbl.create 16 in
       List.iteri
-        (fun i (e, _) -> List.iter (fun s -> Hashtbl.replace last s i) e.e_streams)
+        (fun i (e, _) ->
+          List.iter (fun s -> Hashtbl.replace last s i) (Experiment.streams e))
         scheduled;
       Some
         {
@@ -352,7 +233,7 @@ let apply_retention ctx r i =
    so the report reads identically to a serial run. *)
 type completed = {
   c_output : string;
-  c_stat : figure_stat;
+  c_outcome : outcome;
   c_trace_delta : Context.trace_stats * Context.trace_stats;
 }
 
@@ -383,30 +264,38 @@ let stats_of_snapshot snap =
     trace_bytes = 0;
   }
 
-let stat_of_deltas e seconds (s0 : Context.trace_stats) (s1 : Context.trace_stats) =
-  {
-    fig_id = e.e_id;
-    fig_desc = e.e_desc;
-    fig_seconds = seconds;
-    fig_live_runs = s1.Context.live_runs - s0.Context.live_runs;
-    fig_replayed_runs = s1.Context.replayed_runs - s0.Context.replayed_runs;
-    fig_live_instrs = s1.Context.live_instrs - s0.Context.live_instrs;
-    fig_replayed_instrs = s1.Context.replayed_instrs - s0.Context.replayed_instrs;
-    fig_live_executions = s1.Context.live_executions - s0.Context.live_executions;
-    fig_replayed_traces = s1.Context.replayed_traces - s0.Context.replayed_traces;
-  }
+let completed e (output, seconds, artifact) (s0 : Context.trace_stats)
+    (s1 : Context.trace_stats) =
+  let figure =
+    {
+      Bench_artifact.id = Experiment.id e;
+      desc = Experiment.desc e;
+      seconds;
+      runs_live = s1.Context.live_runs - s0.Context.live_runs;
+      runs_replayed = s1.Context.replayed_runs - s0.Context.replayed_runs;
+      instrs_live = s1.Context.live_instrs - s0.Context.live_instrs;
+      instrs_replayed = s1.Context.replayed_instrs - s0.Context.replayed_instrs;
+      live_executions = s1.Context.live_executions - s0.Context.live_executions;
+      traces_replayed = s1.Context.replayed_traces - s0.Context.replayed_traces;
+    }
+  in
+  { c_output = output; c_outcome = { figure; artifact }; c_trace_delta = (s0, s1) }
 
 (* Render one figure's report block (header, tables, timing line) while
-   running it under its span; returns the text and the timing. *)
+   running it under its span; returns the text, the timing and the bound
+   artifact. *)
 let render_figure pool ctx e =
+  let id = Experiment.id e in
   let buf = Buffer.create 4096 in
   let bppf = Format.formatter_of_buffer buf in
-  Format.fprintf bppf "@.### %s — %s@." e.e_id e.e_desc;
-  let tables, seconds = Telemetry.timed ("report." ^ e.e_id) (fun () -> e.e_run pool ctx) in
+  Format.fprintf bppf "@.### %s — %s@." id (Experiment.desc e);
+  let (tables, artifact), seconds =
+    Telemetry.timed ("report." ^ id) (fun () -> Experiment.exec e pool ctx)
+  in
   List.iter (fun tbl -> Table.print bppf tbl) tables;
-  Format.fprintf bppf "  (%s took %.1fs)@." e.e_id seconds;
+  Format.fprintf bppf "  (%s took %.1fs)@." id seconds;
   Format.pp_print_flush bppf ();
-  (Buffer.contents buf, seconds)
+  (Buffer.contents buf, seconds, artifact)
 
 let publish_par_gauges pool ~serial_estimate ~wall =
   (match pool with
@@ -430,25 +319,19 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
     Format.pp_print_string ppf done_.c_output;
     (if trace_stats then
        let s0, s1 = done_.c_trace_delta in
-       print_figure_trace_stats ppf done_.c_stat.fig_id s0 s1);
+       print_figure_trace_stats ppf done_.c_outcome.figure.id s0 s1);
     (match retention with Some r -> apply_retention ctx r i | None -> ());
-    done_.c_stat
+    done_.c_outcome
   in
-  let figures =
+  let outcomes =
     if jobs = 1 then
       (* Serial: run, print and account each figure in order, exactly the
          pre-pool code path (modulo the per-figure output buffer). *)
       List.mapi
         (fun i (e, _) ->
           let s0 = Context.trace_stats ctx in
-          let output, seconds = render_figure None ctx e in
-          let s1 = Context.trace_stats ctx in
-          finish_figure i
-            {
-              c_output = output;
-              c_stat = stat_of_deltas e seconds s0 s1;
-              c_trace_delta = (s0, s1);
-            })
+          let rendered = render_figure None ctx e in
+          finish_figure i (completed e rendered s0 (Context.trace_stats ctx)))
         scheduled
     else begin
       let p = Option.get pool in
@@ -461,14 +344,8 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
             if parallel then `Fut (e, Pool.submit p (fun () -> render_figure pool ctx e))
             else begin
               let s0 = Context.trace_stats ctx in
-              let output, seconds = render_figure pool ctx e in
-              let s1 = Context.trace_stats ctx in
-              `Done
-                {
-                  c_output = output;
-                  c_stat = stat_of_deltas e seconds s0 s1;
-                  c_trace_delta = (s0, s1);
-                }
+              let rendered = render_figure pool ctx e in
+              `Done (completed e rendered s0 (Context.trace_stats ctx))
             end)
           scheduled
       in
@@ -481,25 +358,28 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
           match pending with
           | `Done done_ -> finish_figure i done_
           | `Fut (e, fut) ->
-              let (output, seconds), snap = Pool.await_snapshot fut in
+              let rendered, snap = Pool.await_snapshot fut in
               let s1 =
                 match snap with
                 | Some snap -> stats_of_snapshot snap
                 | None -> zero_stats
               in
-              finish_figure i
-                {
-                  c_output = output;
-                  c_stat = stat_of_deltas e seconds zero_stats s1;
-                  c_trace_delta = (zero_stats, s1);
-                })
+              finish_figure i (completed e rendered zero_stats s1))
         pending
     end
   in
   if trace_stats then Table.print ppf (trace_summary_table (Context.trace_stats ctx));
   let wall = Unix.gettimeofday () -. t_start in
   let serial_estimate =
-    List.fold_left (fun acc f -> acc +. f.fig_seconds) 0.0 figures
+    List.fold_left (fun acc o -> acc +. o.figure.Bench_artifact.seconds) 0.0 outcomes
   in
   publish_par_gauges pool ~serial_estimate ~wall;
-  figures
+  outcomes
+
+let artifact outcomes ctx id =
+  match List.find_opt (fun o -> o.figure.Bench_artifact.id = id) outcomes with
+  | Some { artifact = Some a; _ } -> a
+  | _ -> (
+      match Experiment.exec (find id) None ctx with
+      | _, Some a -> a
+      | _, None -> invalid_arg (Printf.sprintf "experiment %s writes no artifact" id))

@@ -4,26 +4,25 @@
 type selection =
   | All
   | Only of string list
-      (** Experiment ids: "fig3" "fig4" "fig6" "fig7" "fig8" "fig9" "fig12"
-          "fig14" "fig15" "intext" "ablations" "prefetch" "joint" (fig4
-          covers fig5, fig9 covers 10-11, fig12 covers 13; the last two are
-          extensions beyond the paper). *)
+      (** Ids from {!experiment_ids} (fig4 covers fig5, fig9 covers 10-11,
+          fig12 covers 13). *)
+
+val experiments : Experiment.t list
+(** The registry, in report order: every experiment is declared here once.
+    The bench's [--<id>-out] flags are generated from the entries that
+    declare an artifact. *)
 
 val experiment_ids : string list
+(** The registry's ids, in report order. *)
 
-type figure_stat = {
-  fig_id : string;
-  fig_desc : string;
-  fig_seconds : float;  (** wall-clock, measured by the figure's span *)
-  fig_live_runs : int;
-  fig_replayed_runs : int;
-  fig_live_instrs : int;
-  fig_replayed_instrs : int;
-  fig_live_executions : int;
-  fig_replayed_traces : int;
+type outcome = {
+  figure : Olayout_telemetry.Bench_artifact.figure;
+      (** Wall-clock (measured by the figure's span) and the telemetry
+          deltas around it: the raw material of the [BENCH_<scale>.json]
+          artifact. *)
+  artifact : Experiment.artifact option;
+      (** This run's result bound to the experiment's artifact writer. *)
 }
-(** Per-figure telemetry deltas (the counters around the figure's span);
-    the raw material of the [BENCH_<scale>.json] artifact. *)
 
 val run :
   ?selection:selection ->
@@ -32,10 +31,10 @@ val run :
   ?retain_mb:int ->
   Context.t ->
   Format.formatter ->
-  figure_stat list
+  outcome list
 (** Executes the selected experiments and prints each experiment's tables
-    (with wall-clock timings) in list order, returning one {!figure_stat}
-    per executed experiment.  Each figure runs inside a telemetry span
+    (with wall-clock timings) in list order, returning one {!outcome} per
+    executed experiment.  Each figure runs inside a telemetry span
     named [report.<id>], so span aggregates (and the JSONL sink, when
     attached) carry the same timings.  With [trace_stats] (default false),
     also prints one line per figure attributing its instruction streams to
@@ -59,3 +58,9 @@ val run :
 
     @raise Invalid_argument on unknown experiment ids (the message lists
     the valid ids). *)
+
+val artifact : outcome list -> Context.t -> string -> Experiment.artifact
+(** [artifact outcomes ctx id]: experiment [id]'s artifact, bound from its
+    outcome when the report ran it, otherwise from one run through its
+    registry record now.
+    @raise Invalid_argument when [id] is unknown or writes no artifact. *)

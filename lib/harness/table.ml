@@ -14,21 +14,27 @@ let add_row t row =
 
 let add_note t note = t.rev_notes <- note :: t.rev_notes
 
+(* Display width of a UTF-8 cell: one column per code point (sparkline and
+   shade glyphs are three bytes each), i.e. every byte that is not a
+   continuation byte. *)
+let width s =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
+  !n
+
 let print ppf t =
   let rows = List.rev t.rev_rows in
   let widths =
     List.mapi
       (fun i col ->
-        List.fold_left
-          (fun acc row -> max acc (String.length (List.nth row i)))
-          (String.length col) rows)
+        List.fold_left (fun acc row -> max acc (width (List.nth row i))) (width col) rows)
       t.columns
   in
-  let pad s w = s ^ String.make (max 0 (w - String.length s)) ' ' in
+  let pad s w = s ^ String.make (max 0 (w - width s)) ' ' in
   let line row = String.concat "  " (List.map2 pad row widths) in
   Format.fprintf ppf "@.== %s ==@." t.title;
   Format.fprintf ppf "%s@." (line t.columns);
-  Format.fprintf ppf "%s@." (String.make (String.length (line t.columns)) '-');
+  Format.fprintf ppf "%s@." (String.make (width (line t.columns)) '-');
   List.iter (fun row -> Format.fprintf ppf "%s@." (line row)) rows;
   List.iter (fun n -> Format.fprintf ppf "  note: %s@." n) (List.rev t.rev_notes)
 

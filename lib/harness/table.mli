@@ -8,6 +8,8 @@ val add_note : t -> string -> unit
 (** Notes print under the table (paper-expected values, caveats). *)
 
 val print : Format.formatter -> t -> unit
+(** Columns are padded to their widest cell, measured in UTF-8 code
+    points. *)
 
 (** Cell formatting helpers. *)
 

@@ -156,30 +156,50 @@ let output oc t =
         row)
     t.blocks
 
-let input prog ic =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  let line () = try Stdlib.input_line ic with End_of_file -> fail "Profile.input: truncated" in
-  if line () <> magic then fail "Profile.input: bad magic";
+exception Load_error of string
+
+let input ?(source = "<channel>") prog ic =
+  let lineno = ref 0 in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg -> raise (Load_error (Printf.sprintf "%s:%d: %s" source !lineno msg)))
+      fmt
+  in
+  let line () =
+    incr lineno;
+    try Stdlib.input_line ic with End_of_file -> fail "truncated profile (unexpected end of file)"
+  in
+  let count s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> n
+    | _ -> fail "%S is not a count" s
+  in
+  if line () <> magic then fail "not an olayout profile (expected %S)" magic;
   (match String.split_on_char ' ' (line ()) with
   | [ "program"; name; n ] ->
       if name <> prog.Prog.name then
-        fail "Profile.input: profile is for program %s, not %s" name prog.Prog.name;
-      if int_of_string n <> Prog.n_procs prog then fail "Profile.input: procedure count mismatch"
-  | _ -> fail "Profile.input: bad program header");
+        fail "profile is for program %s, not %s" name prog.Prog.name;
+      if count n <> Prog.n_procs prog then
+        fail "profile has %s procedures, program %s has %d" n name (Prog.n_procs prog)
+  | _ -> fail "bad program header (expected \"program NAME PROCS\")");
   let t = create prog in
   for pid = 0 to Prog.n_procs prog - 1 do
     (match String.split_on_char ' ' (line ()) with
     | [ "proc"; p; n ] ->
-        if int_of_string p <> pid then fail "Profile.input: procedure order";
-        if int_of_string n <> Array.length t.blocks.(pid) then
-          fail "Profile.input: block count mismatch in proc %d" pid
-    | _ -> fail "Profile.input: bad proc header");
+        if count p <> pid then fail "expected proc %d, found proc %s" pid p;
+        if count n <> Array.length t.blocks.(pid) then
+          fail "proc %d has %s blocks in the profile, %d in the program" pid n
+            (Array.length t.blocks.(pid))
+    | _ -> fail "bad proc header (expected \"proc %d BLOCKS\")" pid);
     for bid = 0 to Array.length t.blocks.(pid) - 1 do
-      match List.map int_of_string (String.split_on_char ' ' (line ())) with
-      | count :: arms when List.length arms = Array.length t.arms.(pid).(bid) ->
-          t.blocks.(pid).(bid) <- count;
-          List.iteri (fun arm a -> t.arms.(pid).(bid).(arm) <- a) arms
-      | _ -> fail "Profile.input: bad block line (proc %d block %d)" pid bid
+      let arms = t.arms.(pid).(bid) in
+      match List.map count (String.split_on_char ' ' (line ())) with
+      | c :: counts when List.length counts = Array.length arms ->
+          t.blocks.(pid).(bid) <- c;
+          List.iteri (fun arm a -> arms.(arm) <- a) counts
+      | _ ->
+          fail "proc %d block %d: expected a block count and %d arm counts" pid bid
+            (Array.length arms)
     done
   done;
   t
@@ -193,8 +213,8 @@ let save_file path t =
       raise e
 
 let load_file prog path =
-  let ic = open_in path in
-  match input prog ic with
+  let ic = try open_in path with Sys_error msg -> raise (Load_error msg) in
+  match input ~source:path prog ic with
   | t ->
       close_in ic;
       t

@@ -77,9 +77,17 @@ val proc_equal : t -> t -> int -> bool
 
 val output : out_channel -> t -> unit
 
-val input : Prog.t -> in_channel -> t
-(** Re-read a profile for [prog].
-    @raise Failure if the stream does not match the program's shape. *)
+exception Load_error of string
+(** A malformed or unreadable profile.  The message names the source and
+    the line: ["FILE:LINE: what is wrong"]. *)
+
+val input : ?source:string -> Prog.t -> in_channel -> t
+(** Re-read a profile for [prog]; [source] names the stream in errors.
+    @raise Load_error if the stream is truncated, holds a non-numeric or
+    negative count, or does not match the program's shape. *)
 
 val save_file : string -> t -> unit
+
 val load_file : Prog.t -> string -> t
+(** {!input} from a file.
+    @raise Load_error as {!input}, or when the file cannot be opened. *)

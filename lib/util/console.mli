@@ -1,8 +1,8 @@
 (** Shared console glyph rendering for instruction-clock series.
 
     The sparkline resampler and the five-level shade scale used by the
-    timeline summary, the drift observatory heatmap and the relayout
-    cadence tables (the [timeline] / [drift] / [relayout] CLI
+    timeline summary, the drift observatory's staleness matrix and the
+    relayout tables (the [timeline] / [drift] / [relayout] CLI
     subcommands). *)
 
 val spark_width : int

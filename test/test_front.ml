@@ -77,8 +77,10 @@ let test_ci_baseline_gate () =
       Alcotest.(check (option string)) "timeline" (Some "TIMELINE_quick.json") o.timeline_out;
       Alcotest.(check (option int)) "default window" None o.timeline_window;
       Alcotest.(check (option string)) "explain" (Some "EXPLAIN_quick.json") o.explain_out;
-      Alcotest.(check (option string)) "drift" (Some "DRIFT_quick.json") o.drift_out;
-      Alcotest.(check (option string)) "relayout" (Some "RELAYOUT_quick.json") o.relayout_out;
+      Alcotest.(check (list (pair string string)))
+        "artifacts"
+        [ ("drift", "DRIFT_quick.json"); ("relayout", "RELAYOUT_quick.json") ]
+        o.artifacts;
       Alcotest.(check (option string))
         "baseline" (Some "bench/baselines/quick.json") o.baseline;
       Alcotest.(check bool) "gate" true o.gate;
@@ -101,7 +103,8 @@ let test_ci_parallel () =
       Alcotest.(check bool) "no --bench-json flag" false o.bench_json;
       Alcotest.(check (option string))
         "bench json out" (Some "BENCH_quick_j2.json") o.bench_json_out;
-      Alcotest.(check (option string)) "drift" (Some "DRIFT_quick_j2.json") o.drift_out;
+      Alcotest.(check (option string))
+        "drift" (Some "DRIFT_quick_j2.json") (List.assoc_opt "drift" o.artifacts);
       Alcotest.(check bool) "gate" true o.gate;
       Alcotest.(check bool) "diagnose off" false o.diagnose)
 
@@ -114,7 +117,7 @@ let test_ci_cross_engine () =
   in
   Alcotest.(check bool) "icache" true (o.engine = `Icache);
   Alcotest.(check (option string))
-    "relayout" (Some "RELAYOUT_quick_icache.json") o.relayout_out;
+    "relayout" (Some "RELAYOUT_quick_icache.json") (List.assoc_opt "relayout" o.artifacts);
   Alcotest.(check bool) "no gate" false o.gate;
   Alcotest.(check bool) "micro default on" true (parse_bench "").micro;
   Alcotest.(check bool) "full by default" true ((parse_bench "").scale = Context.Full)
@@ -200,6 +203,23 @@ let test_cli_usage_errors () =
         [ "--" ^ flag; "power of two >= 1" ])
     [ ("size-kb", "0"); ("line", "0"); ("assoc", "0"); ("size-kb", "3") ]
 
+(* --- the experiment registry ---------------------------------------------- *)
+
+let test_registry () =
+  let ids = List.map Olayout_harness.Experiment.id Report.experiments in
+  Alcotest.(check int) "ids unique" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  Alcotest.(check (list string)) "experiment_ids in registry order" ids
+    Report.experiment_ids;
+  Alcotest.(check (list (pair string string)))
+    "artifact flags in registry order"
+    [ ("drift", "d.json"); ("relayout", "r.json") ]
+    (parse_bench "--relayout-out r.json --drift-out d.json").artifacts;
+  Alcotest.(check (list (pair string string))) "no artifact flags" [] (parse_bench "").artifacts;
+  let code, msg = status Bench_options.term [ "--bogus-out"; "b.json" ] in
+  Alcotest.(check int) "--bogus-out exit status" Front.usage_status code;
+  Alcotest.(check bool) "--bogus-out named" true (contains ~sub:"--bogus-out" msg)
+
 let test_eval_status () =
   let code, _ = status Front.jobs [ "-j"; "auto" ] in
   Alcotest.(check int) "accepted" 0 code;
@@ -214,6 +234,7 @@ let suite =
       Alcotest.test_case "ci: parallel leg" `Quick test_ci_parallel;
       Alcotest.test_case "ci: cross-engine leg" `Quick test_ci_cross_engine;
       Alcotest.test_case "valid values" `Quick test_valid_values;
+      Alcotest.test_case "experiment registry" `Quick test_registry;
       Alcotest.test_case "bench usage errors exit 2" `Quick test_bench_usage_errors;
       Alcotest.test_case "cli usage errors exit 2" `Quick test_cli_usage_errors;
       Alcotest.test_case "eval status" `Quick test_eval_status;

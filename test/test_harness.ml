@@ -24,6 +24,28 @@ let test_table_formatting () =
        false
      with Invalid_argument _ -> true)
 
+(* Columns pad by display width: a sparkline cell of 3-byte glyphs is as
+   wide as its glyph count, so the separator matches the widest row. *)
+let test_table_utf8_width () =
+  let spark = Olayout_util.Console.spark `Sum (Array.init 60 (fun i -> i mod 7)) in
+  let t = Table.create ~title:"spark" ~columns:[ "series"; "spark" ] in
+  Table.add_row t [ "misses"; spark ];
+  let lines =
+    Format.asprintf "%a" Table.print t
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"==" l))
+  in
+  let code_points s =
+    String.fold_left (fun n c -> if Char.code c land 0xC0 <> 0x80 then n + 1 else n) 0 s
+  in
+  match lines with
+  | [ header; sep; row ] ->
+      let width = String.length "series" + 2 + 60 in
+      Alcotest.(check int) "separator width" width (String.length sep);
+      Alcotest.(check int) "row width" width (code_points row);
+      Alcotest.(check int) "header width" width (code_points header)
+  | _ -> Alcotest.failf "unexpected table layout: %d lines" (List.length lines)
+
 let test_formatters () =
   Alcotest.(check string) "fmt_int" "1,234,567" (Table.fmt_int 1234567);
   Alcotest.(check string) "fmt_int negative" "-1,234" (Table.fmt_int (-1234));
@@ -207,6 +229,7 @@ let suite =
   ( "harness",
     [
       Alcotest.test_case "table formatting" `Quick test_table_formatting;
+      Alcotest.test_case "table utf-8 width" `Quick test_table_utf8_width;
       Alcotest.test_case "formatters" `Quick test_formatters;
       Alcotest.test_case "context placements" `Slow test_context_placements;
       Alcotest.test_case "fig3 footprint" `Slow test_fig3;

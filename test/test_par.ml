@@ -13,6 +13,7 @@ module Trace = Olayout_exec.Trace
 module Run = Olayout_exec.Run
 module Context = Olayout_harness.Context
 module Report = Olayout_harness.Report
+module Bench_artifact = Olayout_telemetry.Bench_artifact
 module Spike = Olayout_core.Spike
 
 let with_pool ?jobs f =
@@ -274,14 +275,14 @@ let report_deltas ~pool ids =
   in
   let attribution =
     List.map
-      (fun (f : Report.figure_stat) ->
-        ( f.fig_id,
-          ( f.fig_live_runs,
-            f.fig_replayed_runs,
-            f.fig_live_instrs,
-            f.fig_replayed_instrs,
-            f.fig_live_executions,
-            f.fig_replayed_traces ) ))
+      (fun ({ Report.figure = f; _ } : Report.outcome) ->
+        ( f.Bench_artifact.id,
+          ( f.runs_live,
+            f.runs_replayed,
+            f.instrs_live,
+            f.instrs_replayed,
+            f.live_executions,
+            f.traces_replayed ) ))
       stats
   in
   (counters, histograms, gauges, attribution)

@@ -149,7 +149,47 @@ let test_profile_io_mismatch () =
         (try
            ignore (Profile.load_file prog_b path);
            false
-         with Failure _ -> true))
+         with Profile.Load_error _ -> true))
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* A malformed file raises one Load_error naming the file and the line,
+   never a bare Failure. *)
+let test_profile_io_malformed () =
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 20) in
+  let saved = Filename.temp_file "olayout" ".profile" in
+  let path = Filename.temp_file "olayout" ".profile" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ saved; path ])
+    (fun () ->
+      Profile.save_file saved (Helpers.walked_profile ~calls:3 prog);
+      let lines = In_channel.with_open_text saved In_channel.input_all |> String.split_on_char '\n' in
+      let expect what contents ~line ~sub =
+        Out_channel.with_open_text path (fun oc -> output_string oc contents);
+        match Profile.load_file prog path with
+        | _ -> Alcotest.failf "%s: accepted" what
+        | exception Profile.Load_error msg ->
+            let prefix = Printf.sprintf "%s:%d: " path line in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names file and line" what msg)
+              true
+              (String.starts_with ~prefix msg);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S says %S" what msg sub)
+              true
+              (contains msg sub)
+      in
+      expect "garbage" "this is not a profile\n" ~line:1 ~sub:"not an olayout profile";
+      let first n = String.concat "\n" (List.filteri (fun i _ -> i < n) lines) ^ "\n" in
+      expect "truncated" (first 4) ~line:5 ~sub:"truncated";
+      (* Line 4 is the first block line: "COUNT ARM...". *)
+      let flipped =
+        List.mapi (fun i l -> if i = 3 then "1x" ^ l else l) lines |> String.concat "\n"
+      in
+      expect "non-numeric count" flipped ~line:4 ~sub:"is not a count")
 
 let qcheck_estimate_preserves_block_counts =
   QCheck.Test.make ~name:"estimate_arms preserves block counts" ~count:20 QCheck.small_int
@@ -211,6 +251,7 @@ let suite =
       Alcotest.test_case "sampler validation" `Quick test_sampler_period_validation;
       Alcotest.test_case "profile io roundtrip" `Quick test_profile_io_roundtrip;
       Alcotest.test_case "profile io mismatch" `Quick test_profile_io_mismatch;
+      Alcotest.test_case "profile io malformed" `Quick test_profile_io_malformed;
       Alcotest.test_case "temporal basics" `Quick test_temporal_basics;
       Alcotest.test_case "temporal window" `Quick test_temporal_window_limits;
       QCheck_alcotest.to_alcotest qcheck_estimate_preserves_block_counts;

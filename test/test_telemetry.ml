@@ -170,22 +170,7 @@ let test_bench_artifact () =
   let stats =
     Report.run ~selection:(Report.Only selected) ctx null_ppf
   in
-  let figures =
-    List.map
-      (fun (f : Report.figure_stat) ->
-        {
-          Bench_artifact.id = f.fig_id;
-          desc = f.fig_desc;
-          seconds = f.fig_seconds;
-          runs_live = f.fig_live_runs;
-          runs_replayed = f.fig_replayed_runs;
-          instrs_live = f.fig_live_instrs;
-          instrs_replayed = f.fig_replayed_instrs;
-          live_executions = f.fig_live_executions;
-          traces_replayed = f.fig_replayed_traces;
-        })
-      stats
-  in
+  let figures = List.map (fun (o : Report.outcome) -> o.figure) stats in
   let path = Filename.temp_file "olayout_bench" ".json" in
   let trace = Context.trace_stats ctx in
   Bench_artifact.write ~path ~scale:"quick" ~total_seconds:1.0
